@@ -55,7 +55,7 @@ pub enum BackendKind {
     Sim,
     /// Real threads and in-process channels (wall-clock time).
     Threaded,
-    /// Real nonblocking TCP sockets (wall-clock time, cross-process).
+    /// Real TCP sockets (wall-clock time, cross-process).
     Socket,
 }
 

@@ -1,4 +1,4 @@
-//! Real socket transport: nonblocking framed TCP between OS processes.
+//! Real socket transport: framed TCP between OS processes.
 //!
 //! Drives the same [`Actor`] state machines as the simulator and the
 //! threaded in-process transport, but over actual sockets, so separate
@@ -10,25 +10,41 @@
 //!
 //! # Design
 //!
-//! One [`SocketNet`] is one *node*: a nonblocking TCP listener, a set of
-//! local actor threads, and a single I/O thread that owns every socket.
-//! There is no epoll dependency — the I/O thread's wait point is a
-//! sub-millisecond `recv_timeout` on its command channel, after which it
-//! sweeps all sockets; sends from local actors wake it immediately.
+//! One [`SocketNet`] is one *node*: a TCP listener with a blocking
+//! acceptor thread, one blocking reader thread per inbound connection, a
+//! set of local actor threads, and one send thread that owns every
+//! outbound connection. There is no epoll dependency and no polling: a
+//! reader sleeps in `read` and the kernel wakes it when bytes arrive, so
+//! receive latency follows the link and not a timer. The send thread
+//! sleeps on its command channel; it uses a timed wait only while some
+//! peer has unflushed bytes (full kernel buffer) or a reconnect pending,
+//! so an idle node makes no periodic wake-ups.
 //!
 //! **Send batching**: each actor activation hands its whole send list to
-//! the I/O thread in one message; the I/O thread encodes frames for the
-//! same destination back-to-back into one per-peer pending buffer and
-//! flushes it with a single `write` per sweep (a writev-style coalesce —
+//! the send thread in one message; the send thread encodes frames for
+//! the same destination back-to-back into one per-peer pending buffer and
+//! flushes it with a single `write` per pass (a writev-style coalesce —
 //! the buffer is retained and reused between flushes, so steady state
 //! allocates nothing). The `net.tx_batch_frames` histogram records how
-//! many frames each flush coalesced.
+//! many frames each flush coalesced. A peer that stops draining is shed
+//! at `PENDING_CAP`: its backlog is dropped *with the connection*, so the
+//! next frame opens a fresh stream on a frame boundary.
 //!
-//! **Receive batching**: each sweep drains every readable socket, parses
-//! all complete frames, groups them by destination actor, and delivers
-//! each group as *one* inbox event that the actor thread processes in a
-//! single run — mirroring the simulator fast path's same-instant
-//! batching. `net.rx_batch_msgs` records the batch sizes.
+//! **Receive batching**: a reader `read`s straight into its connection's
+//! reassembly buffer, parses every complete frame the read produced,
+//! groups them by destination actor, and puts each group into the actor's
+//! inbox as *one* event that the actor thread processes in a single run —
+//! mirroring the simulator fast path's same-instant batching.
+//! `net.rx_batch_msgs` records the batch sizes. A reader that takes
+//! `RX_BACKLOG_FRAMES` frames or `RX_BACKLOG_BYTES` off its connection in
+//! one go found a backlog — the peer sends faster than this node drains —
+//! and lets the connection fill for `RX_COALESCE` before it reads again
+//! (interrupt moderation: event driven while unloaded, coalescing while
+//! saturated). Every thread wake-up costs tens of microseconds on a
+//! virtual CPU, and that cost follows the host's load; without the wait a
+//! saturated group's throughput is a chain of such wake-ups and varies
+//! with the host from one run to the next. An unloaded connection never
+//! takes the wait.
 //!
 //! **Clock**: every context observes `ctx.now()` as microseconds since
 //! the UNIX epoch, so cooperating processes on one host share a clock
@@ -76,7 +92,8 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
@@ -98,14 +115,23 @@ const FRAME_HEADER: usize = 24;
 /// Upper bound on one frame's `len` field; larger values mean a corrupt
 /// or hostile stream and close the connection.
 const MAX_FRAME: u32 = 64 * 1024 * 1024;
-/// Per-peer cap on unflushed outbound bytes; beyond it the whole pending
-/// batch is dropped (the protocol layers repair through retransmission).
+/// Per-peer cap on unflushed outbound bytes; beyond it the whole backlog
+/// is dropped with its connection (the protocol layers repair through
+/// retransmission).
 const PENDING_CAP: usize = 8 * 1024 * 1024;
-/// How long the I/O thread parks on its command channel when idle.
-const IDLE_WAIT: Duration = Duration::from_micros(500);
+/// How soon the send thread retries a flush the kernel buffer refused.
+const FLUSH_RETRY: Duration = Duration::from_micros(500);
+/// A reader that takes at least this many frames, or this many bytes, in one
+/// go found a backlog: the peer sends faster than this node takes frames
+/// off the connection.
+const RX_BACKLOG_FRAMES: usize = 4;
+const RX_BACKLOG_BYTES: usize = 32 * 1024;
+/// How long a reader that found a backlog lets its connection fill before
+/// it reads again. An unloaded connection never waits.
+const RX_COALESCE: Duration = Duration::from_micros(400);
 /// Minimum spacing between connection attempts to one unreachable peer.
 const CONNECT_RETRY: Duration = Duration::from_millis(100);
-/// Cap on one blocking connect attempt from the I/O thread.
+/// Cap on one blocking connect attempt from the send thread.
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// Microseconds since the UNIX epoch — the socket backend's shared clock.
@@ -131,10 +157,6 @@ enum IoEvent<M> {
         from: ProcessId,
         sends: Vec<(ProcessId, M)>,
     },
-    Register {
-        pid: ProcessId,
-        inbox: Sender<ProcEvent<M>>,
-    },
     Peer {
         pid: ProcessId,
         addr: SocketAddr,
@@ -142,12 +164,72 @@ enum IoEvent<M> {
     Shutdown,
 }
 
-/// An inbound connection: read-only byte stream plus its reassembly
-/// buffer (`off` marks the already-parsed prefix).
-struct InConn {
-    stream: TcpStream,
-    inbuf: Vec<u8>,
-    off: usize,
+/// Inbox of every local actor: written by `spawn_as`, read by the send
+/// thread (local routes) and by every reader thread (inbound frames).
+type Inboxes<M> = BTreeMap<ProcessId, Sender<ProcEvent<M>>>;
+/// Messages grouped per destination actor, awaiting `deliver_batches`.
+type Batches<M> = BTreeMap<ProcessId, Vec<(ProcessId, M)>>;
+
+/// Reassembly buffer of one inbound connection: the socket is read
+/// straight into it and complete frames are handed out in place.
+/// `buf[start..end]` is what has arrived and is not parsed yet.
+struct FrameBuf {
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl FrameBuf {
+    fn new() -> Self {
+        FrameBuf { buf: vec![0; 64 * 1024], start: 0, end: 0 }
+    }
+
+    /// One `read` from `src` into the free tail (never empty, so `Ok(0)`
+    /// means end of stream). Compacts only once the parsed prefix passes
+    /// half the buffer, and doubles the buffer when the tail runs short
+    /// (a frame larger than the buffer is pending).
+    fn read_from(&mut self, src: &mut impl Read) -> std::io::Result<usize> {
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        } else if self.start > self.buf.len() / 2 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if self.buf.len() - self.end < self.buf.len() / 4 {
+            self.buf.resize(self.buf.len() * 2, 0);
+        }
+        let n = src.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// Whether the last read ran into the end of the buffer.
+    fn is_full(&self) -> bool {
+        self.end == self.buf.len()
+    }
+
+    /// The next complete frame (everything after its `len`), or `None`
+    /// until more bytes arrive. A `len` outside `FRAME_HEADER..=MAX_FRAME`
+    /// is `InvalidData`: the stream is corrupt or hostile.
+    fn next_frame(&mut self) -> std::io::Result<Option<&[u8]>> {
+        let avail = self.end - self.start;
+        if avail < 4 {
+            return Ok(None);
+        }
+        let len_bytes: [u8; 4] = self.buf[self.start..self.start + 4].try_into().expect("4 bytes");
+        let len = u32::from_be_bytes(len_bytes);
+        if len < FRAME_HEADER as u32 || len > MAX_FRAME {
+            return Err(ErrorKind::InvalidData.into());
+        }
+        if avail < 4 + len as usize {
+            return Ok(None);
+        }
+        let at = self.start + 4;
+        self.start = at + len as usize;
+        Ok(Some(&self.buf[at..self.start]))
+    }
 }
 
 /// The outgoing connection to one peer, with the coalescing send buffer.
@@ -175,13 +257,34 @@ impl OutConn {
             next_connect: Instant::now(),
         }
     }
+
+    /// Drops everything queued and the connection with it: `woff` may sit
+    /// inside a partially written frame, so only a fresh stream restarts
+    /// the peer's parser on a frame boundary.
+    fn shed(&mut self) {
+        *self = OutConn { next_connect: self.next_connect, ..OutConn::new(self.addr) };
+    }
+
+    /// When the send thread must look at this peer again even if no
+    /// command arrives: never while nothing is unflushed, else at the
+    /// flush retry (connected, kernel buffer full) or the next connect.
+    fn retry_at(&self, now: Instant) -> Option<Instant> {
+        if self.pending.is_empty() {
+            None
+        } else if self.stream.is_some() {
+            Some(now + FLUSH_RETRY)
+        } else {
+            Some(self.next_connect)
+        }
+    }
 }
 
 /// Per-process handle: inbox sender plus the worker thread.
 type ProcHandle<M> = (Sender<ProcEvent<M>>, JoinHandle<()>);
 
-/// A running socket-backed node: local actors plus one I/O thread that
-/// owns the listener and every TCP connection.
+/// A running socket-backed node: local actors, an acceptor with one
+/// reader thread per inbound connection, and one send thread that owns
+/// every outbound connection.
 ///
 /// Dropping the handle without calling [`SocketNet::shutdown`] detaches
 /// the worker threads; prefer an explicit shutdown.
@@ -193,7 +296,11 @@ pub struct SocketNet<A: Actor> {
     outputs_rx: Receiver<(ProcessId, A::Output)>,
     outputs_tx: Sender<(ProcessId, A::Output)>,
     procs: BTreeMap<ProcessId, ProcHandle<A::Msg>>,
+    inboxes: Arc<RwLock<Inboxes<A::Msg>>>,
     io: Option<JoinHandle<()>>,
+    acceptor: Option<JoinHandle<()>>,
+    /// Tells the acceptor that the connection waking it is the last.
+    stop: Arc<AtomicBool>,
     next_pid: u64,
     seed: u64,
 }
@@ -205,8 +312,9 @@ where
     A::Output: Send,
 {
     /// Binds a listener on an OS-assigned loopback port and starts the
-    /// I/O thread. `seed` feeds each local process' deterministic RNG
-    /// stream (scheduling and the network remain nondeterministic).
+    /// acceptor and send threads. `seed` feeds each local process'
+    /// deterministic RNG stream (scheduling and the network remain
+    /// nondeterministic).
     ///
     /// # Errors
     ///
@@ -243,13 +351,15 @@ where
         topology: Arc<RwLock<Topology>>,
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let (io_tx, io_rx) = channel::<IoEvent<A::Msg>>();
         let (outputs_tx, outputs_rx) = channel();
-        let io_obs = obs.clone();
-        let topo = Arc::clone(&topology);
-        let io = std::thread::spawn(move || io_loop::<A>(listener, io_rx, io_obs, topo));
+        let inboxes = Arc::new(RwLock::new(Inboxes::new()));
+        let stop = Arc::new(AtomicBool::new(false));
+        let (o, t, i) = (obs.clone(), Arc::clone(&topology), Arc::clone(&inboxes));
+        let io = std::thread::spawn(move || send_loop(io_rx, o, t, i));
+        let (o, t, i, st) = (obs.clone(), Arc::clone(&topology), Arc::clone(&inboxes), Arc::clone(&stop));
+        let acceptor = std::thread::spawn(move || accept_loop(listener, st, o, t, i));
         Ok(SocketNet {
             topology,
             obs,
@@ -258,7 +368,10 @@ where
             outputs_rx,
             outputs_tx,
             procs: BTreeMap::new(),
+            inboxes,
             io: Some(io),
+            acceptor: Some(acceptor),
+            stop,
             next_pid: 0,
             seed,
         })
@@ -269,8 +382,8 @@ where
         self.local_addr
     }
 
-    /// The observability handle shared by the I/O thread and all local
-    /// processes.
+    /// The observability handle shared by the transport threads and all
+    /// local processes.
     pub fn obs(&self) -> &Obs {
         &self.obs
     }
@@ -324,7 +437,7 @@ where
         self.next_pid = self.next_pid.max(pid.raw() + 1);
         let site = SiteId::from_raw(pid.raw() as u32);
         let (inbox_tx, inbox_rx) = channel::<ProcEvent<A::Msg>>();
-        let _ = self.io_tx.send(IoEvent::Register { pid, inbox: inbox_tx.clone() });
+        self.inboxes.write().expect("inbox lock").insert(pid, inbox_tx.clone());
         let io_tx = self.io_tx.clone();
         let outputs_tx = self.outputs_tx.clone();
         let seed = self.seed ^ pid.raw().wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -386,18 +499,29 @@ where
         out
     }
 
-    /// Stops every local process and the I/O thread, joining all threads
-    /// and closing all sockets.
+    /// Stops every local process and every transport thread, joining all
+    /// of them and closing all sockets.
     pub fn shutdown(mut self) {
         for (_, (inbox, _)) in self.procs.iter() {
             let _ = inbox.send(ProcEvent::Shutdown);
         }
         let _ = self.io_tx.send(IoEvent::Shutdown);
+        // The acceptor sleeps in `accept`: raise the flag, then wake it
+        // with a connection to its own listener.
+        self.stop.store(true, Ordering::SeqCst);
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(if wake.is_ipv4() { Ipv4Addr::LOCALHOST.into() } else { Ipv6Addr::LOCALHOST.into() });
+        }
+        let woken = TcpStream::connect_timeout(&wake, CONNECT_TIMEOUT).is_ok();
         for (_, (_, handle)) in std::mem::take(&mut self.procs) {
             let _ = handle.join();
         }
         if let Some(io) = self.io.take() {
             let _ = io.join();
+        }
+        if let Some(acceptor) = self.acceptor.take().filter(|_| woken) {
+            let _ = acceptor.join();
         }
     }
 }
@@ -452,7 +576,7 @@ fn run_process<A>(
             drop(ctx);
             if !sends.is_empty() {
                 // The whole activation's send list travels as one I/O
-                // event; the I/O thread coalesces same-destination frames
+                // event; the send thread coalesces same-destination frames
                 // into one buffer flush.
                 let _ = io.send(IoEvent::Sends { from: pid, sends });
             }
@@ -513,68 +637,52 @@ fn run_process<A>(
     }
 }
 
-/// The I/O thread: owns the listener and every TCP stream, routes local
-/// traffic directly, batches remote traffic per destination, and sweeps
-/// sockets between waits on the command channel.
-fn io_loop<A>(
-    listener: TcpListener,
-    rx: Receiver<IoEvent<A::Msg>>,
+/// The send thread: owns every outbound connection, routes local traffic
+/// straight into the actor inboxes and batches remote traffic per
+/// destination. It sleeps on the command channel, with a deadline only
+/// while some peer has unflushed bytes or a reconnect pending.
+fn send_loop<M: WireCodec>(
+    rx: Receiver<IoEvent<M>>,
     obs: Obs,
     topology: Arc<RwLock<Topology>>,
-) where
-    A: Actor,
-    A::Msg: WireCodec,
-{
-    let mut inboxes: BTreeMap<ProcessId, Sender<ProcEvent<A::Msg>>> = BTreeMap::new();
+    inboxes: Arc<RwLock<Inboxes<M>>>,
+) {
     let mut peers: BTreeMap<ProcessId, OutConn> = BTreeMap::new();
-    let mut inbound: Vec<InConn> = Vec::new();
-    // Batches accumulated this sweep, delivered at its end. The map and
-    // its vectors are retained across sweeps (drained, not dropped).
-    let mut batches: BTreeMap<ProcessId, Vec<(ProcessId, A::Msg)>> = BTreeMap::new();
+    let mut batches: Batches<M> = BTreeMap::new();
 
     loop {
-        let mut shutdown = false;
-        // Park on the command channel; any command (or the idle timeout)
-        // starts a sweep.
-        let mut cmd = match rx.recv_timeout(IDLE_WAIT) {
-            Ok(ev) => Some(ev),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => return,
+        let now = Instant::now();
+        let mut cmd = match peers.values().filter_map(|out| out.retry_at(now)).min() {
+            None => match rx.recv() {
+                Ok(ev) => Some(ev),
+                Err(_) => return,
+            },
+            Some(at) => match rx.recv_timeout(at.saturating_duration_since(now)) {
+                Ok(ev) => Some(ev),
+                Err(RecvTimeoutError::Timeout) => None,
+                Err(RecvTimeoutError::Disconnected) => return,
+            },
         };
-        // 1. Drain every queued command.
-        loop {
-            match cmd {
-                Some(IoEvent::Register { pid, inbox }) => {
-                    inboxes.insert(pid, inbox);
+        let mut shutdown = false;
+        // 1. Drain every queued command, then deliver each local
+        //    destination's batch as one inbox event.
+        {
+            let inboxes = inboxes.read().expect("inbox lock");
+            while let Some(ev) = cmd {
+                match ev {
+                    IoEvent::Peer { pid, addr } => {
+                        peers.entry(pid).or_insert_with(|| OutConn::new(addr));
+                    }
+                    IoEvent::Sends { from, sends } => {
+                        handle_sends(from, sends, &obs, &topology, &inboxes, &mut peers, &mut batches);
+                    }
+                    IoEvent::Shutdown => shutdown = true,
                 }
-                Some(IoEvent::Peer { pid, addr }) => {
-                    peers.entry(pid).or_insert_with(|| OutConn::new(addr));
-                }
-                Some(IoEvent::Sends { from, sends }) => {
-                    handle_sends::<A>(from, sends, &obs, &topology, &inboxes, &mut peers, &mut batches);
-                }
-                Some(IoEvent::Shutdown) => shutdown = true,
-                None => break,
+                cmd = rx.try_recv().ok();
             }
-            cmd = rx.try_recv().ok();
+            deliver_batches(&obs, &inboxes, &mut batches);
         }
-        // 2. Accept new inbound connections.
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nonblocking(true);
-                    let _ = stream.set_nodelay(true);
-                    inbound.push(InConn { stream, inbuf: Vec::new(), off: 0 });
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
-        // 3. Drain every readable socket into per-destination batches.
-        inbound.retain_mut(|conn| read_conn::<A>(conn, &obs, &topology, &inboxes, &mut batches));
-        // 4. Deliver each destination's batch as one inbox event.
-        deliver_batches::<A>(&obs, &inboxes, &mut batches);
-        // 5. Flush per-peer pending buffers: one write per destination.
+        // 2. Flush per-peer pending buffers: one write per destination.
         for out in peers.values_mut() {
             flush_out(out, &obs);
         }
@@ -585,21 +693,94 @@ fn io_loop<A>(
     }
 }
 
-/// Routes one activation's send list: local destinations join the sweep's
+/// The acceptor thread: sleeps in `accept` and gives every inbound
+/// connection a reader thread of its own. On shutdown it closes each
+/// connection (which ends its reader's `read`), joins the readers and
+/// drops the listener.
+fn accept_loop<M: WireCodec + Send + 'static>(
+    listener: TcpListener,
+    stop: Arc<AtomicBool>,
+    obs: Obs,
+    topology: Arc<RwLock<Topology>>,
+    inboxes: Arc<RwLock<Inboxes<M>>>,
+) {
+    let mut readers: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
+    for conn in listener.incoming() {
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        let Ok((stream, closer)) = conn.and_then(|s| Ok((s.try_clone()?, s))) else {
+            std::thread::sleep(Duration::from_millis(1)); // e.g. out of descriptors
+            continue;
+        };
+        readers.retain(|(_, reader)| !reader.is_finished());
+        let (o, t, i) = (obs.clone(), Arc::clone(&topology), Arc::clone(&inboxes));
+        readers.push((closer, std::thread::spawn(move || read_loop(stream, o, t, i))));
+    }
+    for (closer, reader) in readers {
+        let _ = closer.shutdown(Shutdown::Both);
+        let _ = reader.join();
+    }
+}
+
+/// One inbound connection's reader thread: sleeps in `read`, and after
+/// every read delivers the complete frames it produced, one batch per
+/// destination actor; once it has drained a backlog it waits
+/// `RX_COALESCE` before the next read. Once the connection is closed or corrupt it shuts
+/// the socket down (the acceptor still holds a handle on it) and returns.
+fn read_loop<M: WireCodec>(
+    mut stream: TcpStream,
+    obs: Obs,
+    topology: Arc<RwLock<Topology>>,
+    inboxes: Arc<RwLock<Inboxes<M>>>,
+) {
+    let mut frames = FrameBuf::new();
+    let mut batches: Batches<M> = BTreeMap::new();
+    // Frames and bytes taken since this reader last slept (in `read`, or
+    // over `RX_COALESCE`).
+    let (mut taken_frames, mut taken_bytes) = (0, 0);
+    loop {
+        taken_bytes += match frames.read_from(&mut stream) {
+            Ok(0) => break,
+            Ok(n) => n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => break,
+        };
+        {
+            let inboxes = inboxes.read().expect("inbox lock");
+            let intact = parse_frames(&mut frames, &obs, &topology, &inboxes, &mut batches);
+            taken_frames += batches.values().map(Vec::len).sum::<usize>();
+            deliver_batches(&obs, &inboxes, &mut batches);
+            if !intact {
+                break;
+            }
+        }
+        if frames.is_full() {
+            continue; // the kernel holds more: take that first
+        }
+        if taken_frames >= RX_BACKLOG_FRAMES || taken_bytes >= RX_BACKLOG_BYTES {
+            // Saturated: drain the connection in fewer, larger batches, at
+            // a rate set by this wait and not by how fast the host wakes
+            // threads up.
+            std::thread::sleep(RX_COALESCE);
+        }
+        (taken_frames, taken_bytes) = (0, 0);
+    }
+    let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// Routes one activation's send list: local destinations join the pass's
 /// delivery batches; remote destinations get frames appended to their
 /// peer's coalescing buffer.
-fn handle_sends<A>(
+fn handle_sends<M: WireCodec>(
     from: ProcessId,
-    sends: Vec<(ProcessId, A::Msg)>,
+    sends: Vec<(ProcessId, M)>,
     obs: &Obs,
     topology: &Arc<RwLock<Topology>>,
-    inboxes: &BTreeMap<ProcessId, Sender<ProcEvent<A::Msg>>>,
+    inboxes: &Inboxes<M>,
     peers: &mut BTreeMap<ProcessId, OutConn>,
-    batches: &mut BTreeMap<ProcessId, Vec<(ProcessId, A::Msg)>>,
-) where
-    A: Actor,
-    A::Msg: WireCodec,
-{
+    batches: &mut Batches<M>,
+) {
     let at_us = unix_now_us();
     for (to, msg) in sends {
         let reachable = topology.read().expect("topology lock").reachable(from, to);
@@ -628,11 +809,8 @@ fn handle_sends<A>(
         } else if let Some(out) = peers.get_mut(&to) {
             if out.pending.len() - out.woff > PENDING_CAP {
                 // Backpressure: the peer is not draining; shed the whole
-                // batch and let the protocol's repair path recover.
-                let dropped = std::mem::take(&mut out.pending);
-                drop(dropped);
-                out.woff = 0;
-                out.frames = 0;
+                // backlog and let the protocol's repair path recover.
+                out.shed();
                 obs.with(|o| o.metrics.inc("net.dropped_backpressure"));
             }
             encode_frame(&mut out.pending, from, to, at_us, &msg);
@@ -655,54 +833,24 @@ fn encode_frame<M: WireCodec>(buf: &mut Vec<u8>, from: ProcessId, to: ProcessId,
     buf[len_at..len_at + 4].copy_from_slice(&len.to_be_bytes());
 }
 
-/// Reads everything available on one inbound connection and files the
-/// decoded messages into the sweep's batches. Returns false once the
-/// connection is closed or corrupt (it is then dropped).
-fn read_conn<A>(
-    conn: &mut InConn,
+/// Files every complete frame in `frames` into `batches`. Returns false
+/// if the stream is corrupt (the connection is then dropped).
+fn parse_frames<M: WireCodec>(
+    frames: &mut FrameBuf,
     obs: &Obs,
     topology: &Arc<RwLock<Topology>>,
-    inboxes: &BTreeMap<ProcessId, Sender<ProcEvent<A::Msg>>>,
-    batches: &mut BTreeMap<ProcessId, Vec<(ProcessId, A::Msg)>>,
-) -> bool
-where
-    A: Actor,
-    A::Msg: WireCodec,
-{
-    let mut tmp = [0u8; 64 * 1024];
-    let mut alive = true;
+    inboxes: &Inboxes<M>,
+    batches: &mut Batches<M>,
+) -> bool {
     loop {
-        match conn.stream.read(&mut tmp) {
-            Ok(0) => {
-                alive = false;
-                break;
-            }
-            Ok(n) => conn.inbuf.extend_from_slice(&tmp[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+        let frame = match frames.next_frame() {
+            Ok(Some(frame)) => frame,
+            Ok(None) => return true,
             Err(_) => {
-                alive = false;
-                break;
+                obs.with(|o| o.metrics.inc("net.decode_errors"));
+                return false;
             }
-        }
-    }
-    // Parse every complete frame in the reassembly buffer.
-    loop {
-        let avail = conn.inbuf.len() - conn.off;
-        if avail < 4 {
-            break;
-        }
-        let len_bytes: [u8; 4] = conn.inbuf[conn.off..conn.off + 4].try_into().expect("4 bytes");
-        let len = u32::from_be_bytes(len_bytes);
-        if len < FRAME_HEADER as u32 || len > MAX_FRAME {
-            obs.with(|o| o.metrics.inc("net.decode_errors"));
-            return false; // corrupt stream: drop the connection
-        }
-        if avail < 4 + len as usize {
-            break;
-        }
-        let frame = &conn.inbuf[conn.off + 4..conn.off + 4 + len as usize];
-        conn.off += 4 + len as usize;
+        };
         let mut r = WireReader::new(frame);
         let (from, to, sent_us) = match (r.u64(), r.u64(), r.u64()) {
             (Ok(f), Ok(t), Ok(s)) => (ProcessId::from_raw(f), ProcessId::from_raw(t), s),
@@ -711,7 +859,7 @@ where
                 return false;
             }
         };
-        let msg = match A::Msg::decode_from(&mut r) {
+        let msg = match M::decode_from(&mut r) {
             Ok(m) => m,
             Err(_) => {
                 obs.with(|o| o.metrics.inc("net.decode_errors"));
@@ -732,22 +880,11 @@ where
         obs.with(|o| o.metrics.observe("net.link_delay_us", delay));
         batches.entry(to).or_default().push((from, msg));
     }
-    if conn.off > 0 {
-        conn.inbuf.drain(..conn.off);
-        conn.off = 0;
-    }
-    alive
 }
 
 /// Hands each destination's accumulated batch to its actor thread as one
 /// event, with one observability-lock acquisition per batch.
-fn deliver_batches<A>(
-    obs: &Obs,
-    inboxes: &BTreeMap<ProcessId, Sender<ProcEvent<A::Msg>>>,
-    batches: &mut BTreeMap<ProcessId, Vec<(ProcessId, A::Msg)>>,
-) where
-    A: Actor,
-{
+fn deliver_batches<M>(obs: &Obs, inboxes: &Inboxes<M>, batches: &mut Batches<M>) {
     let at_us = unix_now_us();
     for (&to, batch) in batches.iter_mut() {
         if batch.is_empty() {
@@ -795,12 +932,8 @@ fn deliver_batches<A>(
 /// the socket accepts: the whole coalesced batch goes out in one write
 /// when the kernel buffer allows.
 fn flush_out(out: &mut OutConn, obs: &Obs) {
-    if out.pending.len() == out.woff {
-        if out.woff > 0 {
-            out.pending.clear();
-            out.woff = 0;
-        }
-        return;
+    if out.pending.is_empty() {
+        return; // a completed flush leaves `pending` empty and `woff` 0
     }
     if out.stream.is_none() {
         let now = Instant::now();
@@ -817,9 +950,7 @@ fn flush_out(out: &mut OutConn, obs: &Obs) {
             Err(_) => {
                 // Unreachable peer: shed the batch, protocols repair.
                 obs.with(|o| o.metrics.inc("net.dropped_unreachable"));
-                out.pending.clear();
-                out.woff = 0;
-                out.frames = 0;
+                out.shed();
                 return;
             }
         }
@@ -847,9 +978,8 @@ fn flush_out(out: &mut OutConn, obs: &Obs) {
             Err(_) => {
                 // Broken connection: drop it and reconnect on the next
                 // flush; unwritten frames are shed (repair recovers).
-                out.stream = None;
-                out.pending.clear();
-                out.woff = 0;
+                obs.with(|o| o.metrics.inc("net.dropped_unreachable"));
+                out.shed();
                 break;
             }
         }
@@ -863,6 +993,7 @@ fn flush_out(out: &mut OutConn, obs: &Obs) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
 
     struct Echo;
     impl Actor for Echo {
@@ -896,7 +1027,13 @@ mod tests {
         let outs_a = a.wait_outputs(2, Duration::from_secs(10));
         assert_eq!(outs_b.len(), 2, "b sees 3 and 1");
         assert_eq!(outs_a.len(), 2, "a sees 2 and 0");
-        assert!(b.obs().metrics_snapshot().counter("net.delivered") >= 2);
+        // A batch is counted after it is handed over, so the outputs can
+        // be seen a moment before the count.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while b.obs().counter("net.delivered") < 2 {
+            assert!(Instant::now() < deadline, "deliveries must be counted");
+            std::thread::sleep(Duration::from_millis(1));
+        }
         a.shutdown();
         b.shutdown();
     }
@@ -977,5 +1114,301 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         net.shutdown();
+    }
+
+    fn pid(raw: u64) -> ProcessId {
+        ProcessId::from_raw(raw)
+    }
+
+    /// Feeds `bytes` to the buffer the way a socket would (`&[u8]` is a
+    /// `Read`): the splitter's pure push side.
+    fn push(frames: &mut FrameBuf, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            frames.read_from(&mut bytes).expect("reading a slice cannot fail");
+        }
+    }
+
+    /// Decodes the payload of every frame that is complete so far.
+    fn drain(frames: &mut FrameBuf, out: &mut Vec<Bytes>) {
+        while let Some(frame) = frames.next_frame().expect("valid len") {
+            let mut r = WireReader::new(&frame[FRAME_HEADER..]);
+            out.push(Bytes::decode_from(&mut r).expect("payload"));
+        }
+    }
+
+    /// A small message, a 16 KiB one and an empty (heartbeat-sized) one,
+    /// split at every byte of the stream, through one long-lived buffer so
+    /// frames start at many offsets and compaction runs.
+    #[test]
+    fn frame_buf_yields_the_same_messages_at_every_split() {
+        let msgs = [
+            Bytes::from(vec![0xA5; 96]),
+            (0..16 * 1024).map(|i| i as u8).collect::<Bytes>(),
+            Bytes::new(),
+        ];
+        let mut stream = Vec::new();
+        for m in &msgs {
+            encode_frame(&mut stream, pid(1), pid(2), 7, m);
+        }
+        let mut frames = FrameBuf::new();
+        for cut in 0..=stream.len() {
+            let mut got = Vec::new();
+            push(&mut frames, &stream[..cut]);
+            drain(&mut frames, &mut got);
+            push(&mut frames, &stream[cut..]);
+            drain(&mut frames, &mut got);
+            assert_eq!(got, msgs, "split at byte {cut}");
+        }
+        // A frame larger than the buffer arrives in pieces: the buffer grows.
+        let big = Bytes::from(vec![7u8; 300 * 1024]);
+        stream.clear();
+        encode_frame(&mut stream, pid(1), pid(2), 7, &big);
+        let mut got = Vec::new();
+        for piece in stream.chunks(7001) {
+            push(&mut frames, piece);
+            drain(&mut frames, &mut got);
+        }
+        assert_eq!(got, [big]);
+    }
+
+    /// Sinks payloads, reporting each one's length.
+    struct Sink;
+    impl Actor for Sink {
+        type Msg = Bytes;
+        type Output = usize;
+        fn on_message(&mut self, _from: ProcessId, msg: Bytes, ctx: &mut Context<'_, Bytes, usize>) {
+            ctx.output(msg.len());
+        }
+    }
+
+    /// A `len` below the header size or above `MAX_FRAME` is refused by the
+    /// splitter, and the node closes the connection it came in on.
+    #[test]
+    fn bad_frame_len_closes_the_connection() {
+        for len in [FRAME_HEADER as u32 - 1, MAX_FRAME + 1] {
+            let mut frames = FrameBuf::new();
+            push(&mut frames, &len.to_be_bytes());
+            assert!(frames.next_frame().is_err(), "len {len}");
+
+            let mut net: SocketNet<Sink> = SocketNet::new(50).unwrap();
+            net.spawn(Sink);
+            let mut raw = TcpStream::connect(net.local_addr()).unwrap();
+            raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            raw.write_all(&len.to_be_bytes()).unwrap();
+            assert!(matches!(raw.read(&mut [0u8; 1]), Ok(0)), "len {len}: connection closed");
+            assert_eq!(net.obs().counter("net.decode_errors"), 1);
+            net.shutdown();
+        }
+    }
+
+    /// A backlog shed at `PENDING_CAP` in the middle of a partially written
+    /// frame must not leave the peer parsing payload bytes as a length. A
+    /// reaches B through a relay that starts out stalled (connections queue
+    /// in the kernel, nothing is read).
+    #[test]
+    fn backpressure_shed_resyncs_on_a_frame_boundary() {
+        let mut a: SocketNet<Sink> = SocketNet::new(60).unwrap();
+        let mut b: SocketNet<Sink> =
+            SocketNet::with_shared(61, a.obs().clone(), a.topology_handle()).unwrap();
+        let pa = a.spawn(Sink);
+        let pb = b.spawn_as(pid(1), Sink);
+        let relay = TcpListener::bind("127.0.0.1:0").unwrap();
+        let relay_addr = relay.local_addr().unwrap();
+        a.add_peer(pb, relay_addr);
+
+        // 1 MiB at a time, each batch flushed before the next is posted, so
+        // the backlog can pass PENDING_CAP only behind a partial write: the
+        // kernel's loopback buffers are full and `woff` sits inside a frame.
+        // As a length, payload bytes read 0xFFFFFFFF > MAX_FRAME.
+        let chunk = Bytes::from(vec![0xFF; 64 * 1024]);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut posted = 0;
+        while a.obs().counter("net.dropped_backpressure") == 0 {
+            for _ in 0..16 {
+                a.post(pa, pb, chunk.clone());
+            }
+            posted += 16;
+            while a.obs().counter("net.sent") < posted {
+                assert!(Instant::now() < deadline, "the send thread must keep up");
+                std::thread::yield_now();
+            }
+            assert!(posted < 16 * 64, "the stalled relay must overflow PENDING_CAP");
+        }
+
+        // Un-stall: every connection queued at the relay, and every later
+        // one, is copied byte for byte into a connection of its own to B.
+        let done = Arc::new(AtomicBool::new(false));
+        let (relay_done, b_addr) = (Arc::clone(&done), b.local_addr());
+        let relay_thread = std::thread::spawn(move || {
+            let mut copies = Vec::new();
+            for conn in relay.incoming() {
+                if relay_done.load(Ordering::SeqCst) {
+                    break;
+                }
+                let (mut from_a, mut to_b) = (conn.unwrap(), TcpStream::connect(b_addr).unwrap());
+                copies.push(std::thread::spawn(move || {
+                    let _ = std::io::copy(&mut from_a, &mut to_b);
+                }));
+            }
+            for copy in copies {
+                copy.join().unwrap();
+            }
+        });
+        let marker = Bytes::from_static(b"end");
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            a.post(pa, pb, marker.clone());
+            let outs = b.wait_outputs(64, Duration::from_millis(50));
+            if outs.iter().any(|(_, len)| *len == marker.len()) {
+                break;
+            }
+            assert!(Instant::now() < deadline, "messages after the shed must arrive");
+        }
+        assert_eq!(a.obs().counter("net.decode_errors"), 0, "B never lost the frame boundary");
+
+        a.shutdown(); // closes A's connections, which ends the copies
+        done.store(true, Ordering::SeqCst);
+        drop(TcpStream::connect(relay_addr).unwrap());
+        relay_thread.join().unwrap();
+        b.shutdown();
+    }
+
+    /// Every read of a stream written eight frames at a time finds a
+    /// backlog, so consecutive batches are at least `RX_COALESCE` apart
+    /// however closely the writes follow each other; the unloaded case is
+    /// `idle_ping_pong_hop_follows_the_link_not_a_timer`.
+    #[test]
+    fn a_backlogged_connection_is_drained_in_coalesced_batches() {
+        let mut net: SocketNet<Sink> = SocketNet::new(57).unwrap();
+        let p = net.spawn(Sink);
+        let mut chunk = Vec::new();
+        for _ in 0..2 * RX_BACKLOG_FRAMES {
+            encode_frame(&mut chunk, pid(9), p, unix_now_us(), &Bytes::from_static(b"x"));
+        }
+        let mut raw = TcpStream::connect(net.local_addr()).unwrap();
+        let started = Instant::now();
+        for _ in 0..300 {
+            raw.write_all(&chunk).unwrap();
+            std::thread::sleep(RX_COALESCE / 8);
+        }
+        let sent = 300 * 2 * RX_BACKLOG_FRAMES;
+        assert_eq!(net.wait_outputs(sent, Duration::from_secs(30)).len(), sent);
+        let elapsed = started.elapsed();
+        let snap = net.obs().metrics_snapshot();
+        let batches = snap.histogram("net.rx_batch_msgs").expect("batches are measured").count();
+        assert!(
+            RX_COALESCE * (batches as u32 - 1) <= elapsed,
+            "{batches} batches in {elapsed:?}"
+        );
+        net.shutdown();
+    }
+
+    /// Holds a token, so the test can see the actor — and with it the actor
+    /// thread — gone.
+    struct Holder(#[allow(dead_code)] Arc<()>);
+    impl Actor for Holder {
+        type Msg = u32;
+        type Output = u32;
+        fn on_message(&mut self, _from: ProcessId, msg: u32, ctx: &mut Context<'_, u32, u32>) {
+            ctx.output(msg);
+        }
+    }
+
+    /// `shutdown` returns with the actor gone, the listener port refusing
+    /// connections, and both an inbound and an outbound connection closed.
+    #[test]
+    fn shutdown_joins_every_thread_and_closes_every_socket() {
+        let token = Arc::new(());
+        let mut net: SocketNet<Holder> = SocketNet::new(51).unwrap();
+        let p = net.spawn(Holder(Arc::clone(&token)));
+        let addr = net.local_addr();
+        // Outbound: a raw listener stands in for a peer.
+        let peer = TcpListener::bind("127.0.0.1:0").unwrap();
+        net.add_peer(pid(9), peer.local_addr().unwrap());
+        net.post(p, pid(9), 1);
+        let (mut outbound, _) = peer.accept().unwrap();
+        // Inbound: a raw connection whose reader thread has provably started.
+        let mut inbound = TcpStream::connect(addr).unwrap();
+        let mut frame = Vec::new();
+        encode_frame(&mut frame, pid(9), p, unix_now_us(), &5u32);
+        inbound.write_all(&frame).unwrap();
+        assert_eq!(net.wait_outputs(1, Duration::from_secs(10)), vec![(p, 5)]);
+
+        net.shutdown();
+
+        assert_eq!(Arc::strong_count(&token), 1, "the actor thread is gone");
+        assert!(TcpStream::connect(addr).is_err(), "the listener is closed");
+        let mut rest = Vec::new();
+        for stream in [&mut inbound, &mut outbound] {
+            stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            stream.read_to_end(&mut rest).expect("the node closed its end");
+        }
+    }
+
+    /// A node whose neighbour went away without `shutdown`, and which also
+    /// routes to an address nobody listens on, keeps serving a third node.
+    #[test]
+    fn a_vanished_neighbour_does_not_stall_the_others() {
+        let mut a: SocketNet<Echo> = SocketNet::new(52).unwrap();
+        let mut b: SocketNet<Echo> = SocketNet::new(53).unwrap();
+        let mut c: SocketNet<Echo> = SocketNet::new(54).unwrap();
+        let pa = a.spawn(Echo);
+        let pb = b.spawn_as(pid(1), Echo);
+        let pc = c.spawn_as(pid(2), Echo);
+        a.add_peer(pb, b.local_addr());
+        b.add_peer(pa, a.local_addr());
+        b.add_peer(pc, c.local_addr());
+        c.add_peer(pb, b.local_addr());
+        a.post(pa, pb, 0);
+        assert_eq!(b.wait_outputs(1, Duration::from_secs(10)), vec![(pb, (pa, 0))]);
+        drop(a);
+        let nobody = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+        b.add_peer(pid(9), nobody);
+        b.post(pb, pid(9), 1);
+        b.post(pb, pc, 5);
+        assert_eq!(c.wait_outputs(3, Duration::from_secs(10)).len(), 3, "c sees 5, 3, 1");
+        assert_eq!(b.wait_outputs(3, Duration::from_secs(10)).len(), 3, "b sees 4, 2, 0");
+        assert_eq!(b.obs().counter("net.dropped_unreachable"), 1, "the refused connect is counted");
+        b.shutdown();
+        c.shutdown();
+    }
+
+    /// Bounces a countdown, reporting the UNIX-clock instant of each arrival.
+    struct Bounce;
+    impl Actor for Bounce {
+        type Msg = u32;
+        type Output = u64;
+        fn on_message(&mut self, from: ProcessId, msg: u32, ctx: &mut Context<'_, u32, u64>) {
+            ctx.output(ctx.now().as_micros());
+            if msg > 0 {
+                ctx.send(from, msg - 1);
+            }
+        }
+    }
+
+    /// Loose regression guard on the receive wake-up: the median hop of an
+    /// idle 200-round ping-pong was ~590 µs under the 500 µs park and is
+    /// ~15 µs with blocking readers; 250 µs leaves >10x slack both ways.
+    #[test]
+    fn idle_ping_pong_hop_follows_the_link_not_a_timer() {
+        let mut a: SocketNet<Bounce> = SocketNet::new(55).unwrap();
+        let mut b: SocketNet<Bounce> = SocketNet::new(56).unwrap();
+        let pa = a.spawn(Bounce);
+        let pb = b.spawn_as(pid(1), Bounce);
+        a.add_peer(pb, b.local_addr());
+        b.add_peer(pa, a.local_addr());
+        a.post(pa, pb, 399);
+        let mut at: Vec<u64> = Vec::new();
+        for net in [&a, &b] {
+            at.extend(net.wait_outputs(200, Duration::from_secs(30)).into_iter().map(|(_, t)| t));
+        }
+        assert_eq!(at.len(), 400, "200 rounds complete");
+        at.sort_unstable();
+        let mut hops: Vec<u64> = at.windows(2).map(|w| w[1] - w[0]).collect();
+        hops.sort_unstable();
+        let median = hops[hops.len() / 2];
+        assert!(median < 250, "median hop {median} us");
+        a.shutdown();
+        b.shutdown();
     }
 }

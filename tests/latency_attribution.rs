@@ -157,7 +157,7 @@ impl Actor for Sender {
 }
 
 /// The telescoping identity must survive the socket transport: stamps
-/// are taken on the shared unix-epoch clock the poll loop threads into
+/// are taken on the shared unix-epoch clock the transport threads into
 /// every `ctx.now()`, so the per-stage deltas of a message that crossed
 /// a real TCP connection still partition its end-to-end total exactly.
 #[test]
