@@ -1,20 +1,17 @@
-//! W1 — wire efficiency of the overhauled data plane.
+//! W1 — wire efficiency of the data plane.
 //!
-//! Runs the same workload — group formation, a multicast load, a
-//! partition, a heal — once with the legacy data plane (full-vector
-//! heartbeats every tick towards every target, blanket retransmit on
-//! lagging heartbeat acks) and once with the optimized one (piggybacked
-//! ack deltas, NACK-driven selective retransmission, heartbeat
-//! suppression), across group size × load, and compares what reaches the
-//! wire: `net.sent`, `gcs.retransmissions`, and `gcs.stability_advances`.
-//!
-//! Only the optimized runs (the default configuration) are aggregated
-//! into `BENCH_wire_efficiency.json`; the legacy runs exist to print the
-//! before/after table.
+//! Runs one workload — group formation, a multicast load, a partition, a
+//! heal — across group size × load and reports what reaches the wire:
+//! `net.sent`, `gcs.retransmissions`, and `gcs.stability_advances`
+//! (piggybacked ack deltas, NACK-driven selective retransmission,
+//! heartbeat suppression). The runs are aggregated into
+//! `BENCH_wire_efficiency.json`. The plane this one replaced (full-vector
+//! heartbeats every tick, blanket retransmit on lagging acks) is gone from
+//! the code; its column of the comparison is frozen in EXPERIMENTS.md §W1.
 
 use vs_bench::Table;
 use vs_evs::{BufPool, PoolStats};
-use vs_gcs::{GcsConfig, GcsEndpoint, WireConfig};
+use vs_gcs::{GcsConfig, GcsEndpoint};
 use vs_net::{NetStats, ProcessId, Sim, SimDuration};
 use vs_obs::MetricsRegistry;
 
@@ -26,16 +23,14 @@ struct Run {
     pool_misses: u64,
 }
 
-fn workload(label: &str, n: usize, load: u64, wire: WireConfig) -> Run {
-    // Seed on (n, load) only, so both data planes face the same schedule.
+fn workload(n: usize, load: u64) -> Run {
+    let label = &format!("optimized_n{n}_l{load}");
     let mut sim: Sim<GcsEndpoint<String>> =
         Sim::new(n as u64 * 1000 + load, vs_bench::sim_config());
     let mut pids: Vec<ProcessId> = Vec::new();
     for _ in 0..n {
         let site = sim.alloc_site();
-        pids.push(sim.spawn_with(site, move |p| {
-            GcsEndpoint::new(p, GcsConfig { wire, ..GcsConfig::default() })
-        }));
+        pids.push(sim.spawn_with(site, |p| GcsEndpoint::new(p, GcsConfig::default())));
     }
     let all = pids.clone();
     let obs = sim.obs().clone();
@@ -93,67 +88,39 @@ fn workload(label: &str, n: usize, load: u64, wire: WireConfig) -> Run {
 
 fn main() {
     vs_bench::init_observability();
-    println!("W1 — wire efficiency: legacy vs optimized data plane (same workload)");
+    println!("W1 — wire efficiency of the data plane");
     let mut table = Table::new(&[
         "n",
         "load",
-        "data plane",
         "net.sent",
         "retransmissions",
         "stability advances",
-        "sent reduction",
         "codec allocs",
     ]);
     let mut agg = MetricsRegistry::new();
     let mut pool_total = PoolStats::default();
     for &n in &[4usize, 8, 16] {
         for &load in &[10u64, 50] {
-            let legacy = workload(
-                &format!("legacy_n{n}_l{load}"),
-                n,
-                load,
-                WireConfig::legacy(),
-            );
-            let optimized = workload(
-                &format!("optimized_n{n}_l{load}"),
-                n,
-                load,
-                WireConfig::default(),
-            );
-            agg.absorb(&optimized.metrics);
-            pool_total.hits += optimized.pool_hits;
-            pool_total.misses += optimized.pool_misses;
-            let reduction =
-                (1.0 - optimized.stats.sent as f64 / legacy.stats.sent as f64) * 100.0;
-            let allocs = |r: &Run| format!("{}→{}", r.pool_hits + r.pool_misses, r.pool_misses);
+            let run = workload(n, load);
+            agg.absorb(&run.metrics);
+            pool_total.hits += run.pool_hits;
+            pool_total.misses += run.pool_misses;
             table.row(&[
                 &n,
                 &load,
-                &"legacy",
-                &legacy.stats.sent,
-                &legacy.metrics.counter("gcs.retransmissions"),
-                &legacy.metrics.counter("gcs.stability_advances"),
-                &"-",
-                &allocs(&legacy),
-            ]);
-            table.row(&[
-                &n,
-                &load,
-                &"optimized",
-                &optimized.stats.sent,
-                &optimized.metrics.counter("gcs.retransmissions"),
-                &optimized.metrics.counter("gcs.stability_advances"),
-                &format!("{reduction:+.1}%"),
-                &allocs(&optimized),
+                &run.stats.sent,
+                &run.metrics.counter("gcs.retransmissions"),
+                &run.metrics.counter("gcs.stability_advances"),
+                &format!("{}→{}", run.pool_hits + run.pool_misses, run.pool_misses),
             ]);
         }
     }
     table.print(
-        "identical workload per row pair: form, load multicasts, partition, heal; \
+        "per row: form, load multicasts, partition, heal; \
          codec allocs = frame encodes → buffer allocations after pooling",
     );
     println!(
-        "\ncodec buffer pool over the optimized-plane runs: {} leases, {} hits, {} allocations \
+        "\ncodec buffer pool over all runs: {} leases, {} hits, {} allocations \
          ({}% hit rate — before the pool, every lease allocated)",
         pool_total.hits + pool_total.misses,
         pool_total.hits,
@@ -164,11 +131,10 @@ fn main() {
     agg.set_gauge("pool.misses", pool_total.misses as i64);
     agg.set_gauge("pool.hit_rate_pct", pool_total.hit_rate_pct() as i64);
     println!(
-        "\nthe optimized plane folds acks into data (piggyback deltas), repairs\n\
-         losses by NACK instead of blanket retransmission, and suppresses\n\
-         heartbeats towards peers that recently received any traffic; stability\n\
-         advances must stay comparable — the cut still moves, it just rides\n\
-         existing messages instead of dedicated rounds."
+        "\nthe data plane folds acks into data (piggyback deltas), repairs losses\n\
+         by NACK, and suppresses heartbeats towards peers that recently received\n\
+         any traffic; the stability cut rides existing messages instead of\n\
+         dedicated rounds (EXPERIMENTS.md W1 keeps the replaced plane's numbers)."
     );
     let bench_path = vs_bench::artifact_path("BENCH_wire_efficiency.json");
     vs_bench::write_bench_json(&bench_path, "exp_wire_efficiency", &agg)

@@ -9,11 +9,11 @@
 //! Life of a multicast: the application calls [`GcsEndpoint::mcast`]; the
 //! message is tagged with the current view and a per-view sequence number,
 //! delivered locally, and sent to every other view member. Losses are
-//! repaired by negative acknowledgements and by heartbeat-driven
-//! retransmission. When the membership changes, the agreement protocol
-//! blocks multicasting, collects every member's unstable messages, and the
-//! commit delivers the common closure *before* the new view is announced —
-//! Properties 2.1–2.3 of the paper.
+//! repaired by receiver-driven negative acknowledgements, with a backed-off
+//! sender-side resend as the fallback. When the membership changes, the
+//! agreement protocol blocks multicasting, collects every member's unstable
+//! messages, and the commit delivers the common closure *before* the new
+//! view is announced — Properties 2.1–2.3 of the paper.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -58,39 +58,6 @@ const TAIL_NACK_GRACE: SimDuration = SimDuration::from_millis(5);
 const RESEND_GRACE: SimDuration = SimDuration::from_millis(45);
 const RESEND_CAP: SimDuration = SimDuration::from_millis(250);
 
-/// Wire-efficiency knobs (the optimized data plane is the default; the
-/// legacy switches exist so experiments can measure the before/after).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireConfig {
-    /// Fold the stability/ack vector (delta-encoded against the last
-    /// advertised cut) and the send frontier into outgoing multicasts and
-    /// agreement traffic, instead of relying on heartbeats alone.
-    pub piggyback_acks: bool,
-    /// Repair losses with receiver-driven gap/tail NACKs (plus a backed-off
-    /// sender-side fallback), instead of blanket retransmission towards
-    /// every heartbeat whose ack vector lags.
-    pub nack_retransmit: bool,
-    /// Suppress dedicated heartbeats towards peers that recently received
-    /// any traffic from this process (see
-    /// [`DetectorConfig::suppress_within`](vs_membership::DetectorConfig)).
-    pub suppress_heartbeats: bool,
-}
-
-impl Default for WireConfig {
-    fn default() -> Self {
-        WireConfig { piggyback_acks: true, nack_retransmit: true, suppress_heartbeats: true }
-    }
-}
-
-impl WireConfig {
-    /// The pre-overhaul data plane: per-tick full-vector heartbeats to
-    /// every target and retransmit-on-heartbeat. For before/after
-    /// comparisons (`exp_wire_efficiency`).
-    pub fn legacy() -> Self {
-        WireConfig { piggyback_acks: false, nack_retransmit: false, suppress_heartbeats: false }
-    }
-}
-
 /// Configuration of a [`GcsEndpoint`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GcsConfig {
@@ -108,9 +75,6 @@ pub struct GcsConfig {
     /// excluded — delivers a message the others might miss. Trades latency
     /// (one extra acknowledgement round) for the uniformity guarantee.
     pub uniform: bool,
-    /// Wire-efficiency knobs (piggybacking, NACK repair, heartbeat
-    /// suppression).
-    pub wire: WireConfig,
     /// **Seeded mutation** for the bounded model checker's regression
     /// suite: computes every stability cut with
     /// [`AckTracker::stable_frontier_broken_max_merge`] (any member's
@@ -422,11 +386,8 @@ impl<M: Clone + std::fmt::Debug + 'static> GcsEndpoint<M> {
     /// advanced since the last advertised cut (`full` sends the whole
     /// vector instead — used on rare agreement traffic, where starving
     /// other peers of a delta until the next heartbeat is not worth the
-    /// bookkeeping). Returns `None` when piggybacking is disabled.
-    fn make_piggyback(&mut self, full: bool) -> Option<Piggyback> {
-        if !self.config.wire.piggyback_acks {
-            return None;
-        }
+    /// bookkeeping).
+    fn make_piggyback(&mut self, full: bool) -> Piggyback {
         let current = self.acks.ack_vector();
         let delta: Vec<(ProcessId, u64)> = current
             .iter()
@@ -442,11 +403,11 @@ impl<M: Clone + std::fmt::Debug + 'static> GcsEndpoint<M> {
             delta
         };
         self.advertised = current;
-        Some(Piggyback {
+        Piggyback {
             view: self.view.id(),
             acks,
             sent_upto: self.my_seq,
-        })
+        }
     }
 
     /// Merges a piggyback received from `from`: advances the peer's ack
@@ -458,9 +419,7 @@ impl<M: Clone + std::fmt::Debug + 'static> GcsEndpoint<M> {
         }
         self.acks.on_peer_acks(from, pb.acks);
         self.release_stable(ctx);
-        if self.config.wire.nack_retransmit {
-            self.maybe_nack_tail(from, pb.sent_upto, ctx);
-        }
+        self.maybe_nack_tail(from, pb.sent_upto, ctx);
     }
 
     /// Receiver-driven repair: `from` claims to have multicast up to
@@ -600,7 +559,7 @@ impl<M: Clone + std::fmt::Debug + 'static> GcsEndpoint<M> {
         // ride the data while it flows; dedicated rounds only when idle.
         let pb = self.make_piggyback(false);
         for &p in &peers {
-            self.post(p, Wire::App(msg.clone(), pb.clone()), ctx);
+            self.post(p, Wire::App(msg.clone(), Some(pb.clone())), ctx);
         }
         self.offer(msg, ctx);
     }
@@ -759,10 +718,7 @@ impl<M: Clone + std::fmt::Debug + 'static> GcsEndpoint<M> {
             .heartbeat_targets()
             .into_iter()
             .filter(|&p| {
-                if !self.config.wire.suppress_heartbeats
-                    || fresh_acks
-                    || self.fd.should_heartbeat(p, now)
-                {
+                if fresh_acks || self.fd.should_heartbeat(p, now) {
                     true
                 } else {
                     self.obs.inc("fd.heartbeats_suppressed");
@@ -857,7 +813,7 @@ impl<M: Clone + std::fmt::Debug + 'static> GcsEndpoint<M> {
         }
         // 5. Fallback retransmission towards peers whose acks stalled —
         //    scoped to the lagging peer and its unacked suffix only.
-        if self.config.wire.nack_retransmit && !self.agreement.is_engaged() {
+        if !self.agreement.is_engaged() {
             self.retransmit_lagging(now, ctx);
         }
         // 6. Re-arm.
@@ -878,7 +834,7 @@ impl<M: Clone + std::fmt::Debug + 'static> GcsEndpoint<M> {
                         // Flush/agreement traffic carries acks too (full
                         // vector: these messages are rare and per-peer).
                         let pb = self.make_piggyback(true);
-                        self.post(to, Wire::Agreement(msg, pb), ctx);
+                        self.post(to, Wire::Agreement(msg, Some(pb)), ctx);
                     }
                     AgreementAction::NeedPayload { proposal } => {
                         if !self.estimator.is_in_progress() {
@@ -1056,24 +1012,9 @@ impl<M: Clone + std::fmt::Debug + 'static> Actor for GcsEndpoint<M> {
                 if view == self.view.id() && self.view.contains(from) {
                     self.acks.on_peer_acks(from, acks);
                     self.release_stable(ctx);
-                    if self.config.wire.nack_retransmit {
-                        // Receiver-driven repair: NACK the tail the peer
-                        // announced but we never saw.
-                        self.maybe_nack_tail(from, sent_upto, ctx);
-                    } else {
-                        // Legacy path: blanket-retransmit whatever the
-                        // peer's ack vector has not covered yet.
-                        let frontier = self.acks.peer_frontier(from, self.me);
-                        let resend: Vec<ViewMsg<M>> = self
-                            .sent
-                            .range((frontier + 1)..)
-                            .map(|(_, m)| m.clone())
-                            .collect();
-                        self.obs.add("gcs.retransmissions", resend.len() as u64);
-                        for m in resend {
-                            ctx.send(from, Wire::App(m, None));
-                        }
-                    }
+                    // Receiver-driven repair: NACK the tail the peer
+                    // announced but we never saw.
+                    self.maybe_nack_tail(from, sent_upto, ctx);
                 }
             }
             Wire::App(msg, pb) => {

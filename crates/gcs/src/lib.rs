@@ -43,7 +43,7 @@ pub mod ordering;
 mod stability;
 mod wirefmt;
 
-pub use endpoint::{GcsConfig, GcsEndpoint, Piggyback, Wire, WireConfig};
+pub use endpoint::{GcsConfig, GcsEndpoint, Piggyback, Wire};
 pub use events::{GcsEvent, Provenance};
 pub use flush::{flush_deliveries, FlushPayload};
 pub use message::{MsgId, ViewMsg};

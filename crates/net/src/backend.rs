@@ -4,12 +4,13 @@
 //! Every experiment binary and observability helper wants the same small
 //! verb set — spawn actors, inject messages, partition/heal/crash, run
 //! for a while, collect outputs — regardless of whether time is virtual
-//! ([`Sim`]), threads and channels ([`ThreadedNet`]) or real sockets
-//! ([`SocketNet`]). [`NetBackend`] is that verb set, and
-//! [`BackendKind`] is the `--backend sim|threaded|socket` flag behind
-//! it. Backend-specific capabilities (fault scripts, schedule recording,
-//! peer addressing for multi-process fleets) stay on the concrete types;
-//! the trait is deliberately the portable core only.
+//! ([`Sim`]) or real: the live host ([`LiveNet`]) over threads and
+//! channels alone ([`ThreadedNet`]) or with real sockets ([`SocketNet`]).
+//! [`NetBackend`] is that verb set, and [`BackendKind`] is the
+//! `--backend sim|threaded|socket` flag behind it. Backend-specific
+//! capabilities (fault scripts, schedule recording, peer addressing for
+//! multi-process fleets) stay on the concrete types; the trait is
+//! deliberately the portable core only.
 //!
 //! ```
 //! use vs_net::backend::{make_backend, BackendKind};
@@ -41,6 +42,7 @@ use vs_obs::Obs;
 
 use crate::actor::Actor;
 use crate::id::ProcessId;
+use crate::live::{LiveNet, Uplink};
 use crate::schedule::RecordUnsupported;
 use crate::sim::{Sim, SimConfig};
 use crate::socket::SocketNet;
@@ -146,27 +148,8 @@ where
     A::Msg: WireCodec + Send,
     A::Output: Send,
 {
-    make_backend_with(kind, seed, SimConfig::default())
-}
-
-/// [`make_backend`] with an explicit simulator configuration (ignored by
-/// the live transports, which take their timing from the OS).
-///
-/// # Errors
-///
-/// Fails only for [`BackendKind::Socket`] when its listener cannot bind.
-pub fn make_backend_with<A>(
-    kind: BackendKind,
-    seed: u64,
-    config: SimConfig,
-) -> std::io::Result<Box<dyn NetBackend<A>>>
-where
-    A: Actor + Send,
-    A::Msg: WireCodec + Send,
-    A::Output: Send,
-{
     Ok(match kind {
-        BackendKind::Sim => Box::new(Sim::new(seed, config)),
+        BackendKind::Sim => Box::new(Sim::new(seed, SimConfig::default())),
         BackendKind::Threaded => Box::new(ThreadedNet::new(seed)),
         BackendKind::Socket => Box::new(SocketNet::new(seed)?),
     })
@@ -216,42 +199,43 @@ impl<A: Actor> NetBackend<A> for Sim<A> {
     fn shutdown(self: Box<Self>) {}
 }
 
-impl<A> NetBackend<A> for ThreadedNet<A>
+impl<A, U> NetBackend<A> for LiveNet<A, U>
 where
     A: Actor + Send,
     A::Msg: Send,
     A::Output: Send,
+    U: Uplink<A::Msg>,
 {
     fn kind(&self) -> BackendKind {
-        BackendKind::Threaded
+        U::KIND
     }
 
     fn obs(&self) -> Obs {
-        ThreadedNet::obs(self).clone()
+        LiveNet::obs(self).clone()
     }
 
     fn enable_record(&mut self) -> Result<(), RecordUnsupported> {
-        ThreadedNet::enable_record(self)
+        LiveNet::enable_record(self)
     }
 
     fn spawn_actor(&mut self, f: Box<dyn FnOnce(ProcessId) -> A + Send>) -> ProcessId {
-        ThreadedNet::spawn_with(self, f)
+        LiveNet::spawn_with(self, f)
     }
 
     fn post(&mut self, from: ProcessId, to: ProcessId, msg: A::Msg) {
-        ThreadedNet::post(self, from, to, msg);
+        LiveNet::post(self, from, to, msg);
     }
 
     fn partition(&mut self, groups: &[Vec<ProcessId>]) {
-        ThreadedNet::partition(self, groups);
+        LiveNet::partition(self, groups);
     }
 
     fn heal(&mut self) {
-        ThreadedNet::heal(self);
+        LiveNet::heal(self);
     }
 
     fn crash(&mut self, pid: ProcessId) {
-        ThreadedNet::crash(self, pid);
+        LiveNet::crash(self, pid);
     }
 
     fn run(&mut self, span: Duration) -> Vec<(ProcessId, A::Output)> {
@@ -259,54 +243,7 @@ where
     }
 
     fn shutdown(self: Box<Self>) {
-        ThreadedNet::shutdown(*self);
-    }
-}
-
-impl<A> NetBackend<A> for SocketNet<A>
-where
-    A: Actor + Send,
-    A::Msg: WireCodec + Send,
-    A::Output: Send,
-{
-    fn kind(&self) -> BackendKind {
-        BackendKind::Socket
-    }
-
-    fn obs(&self) -> Obs {
-        SocketNet::obs(self).clone()
-    }
-
-    fn enable_record(&mut self) -> Result<(), RecordUnsupported> {
-        SocketNet::enable_record(self)
-    }
-
-    fn spawn_actor(&mut self, f: Box<dyn FnOnce(ProcessId) -> A + Send>) -> ProcessId {
-        SocketNet::spawn_with(self, f)
-    }
-
-    fn post(&mut self, from: ProcessId, to: ProcessId, msg: A::Msg) {
-        SocketNet::post(self, from, to, msg);
-    }
-
-    fn partition(&mut self, groups: &[Vec<ProcessId>]) {
-        SocketNet::partition(self, groups);
-    }
-
-    fn heal(&mut self) {
-        SocketNet::heal(self);
-    }
-
-    fn crash(&mut self, pid: ProcessId) {
-        SocketNet::crash(self, pid);
-    }
-
-    fn run(&mut self, span: Duration) -> Vec<(ProcessId, A::Output)> {
-        self.wait_outputs(usize::MAX, span)
-    }
-
-    fn shutdown(self: Box<Self>) {
-        SocketNet::shutdown(*self);
+        LiveNet::shutdown(*self);
     }
 }
 

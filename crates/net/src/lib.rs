@@ -24,8 +24,9 @@
 //! Protocol code plugs in through the [`Actor`] trait: a pure, I/O-free state
 //! machine receiving messages and timer expirations through a [`Context`]
 //! that collects its outgoing actions. The same actors can also be driven by
-//! the real, threaded in-process transport in [`threaded`], which exists to
-//! demonstrate that nothing in the stack depends on simulation.
+//! the live host in [`live`] — over threads and channels alone
+//! ([`threaded`]) or with a TCP uplink ([`socket`]) — which demonstrates
+//! that nothing in the stack depends on simulation.
 //!
 //! # Quick example
 //!
@@ -61,6 +62,7 @@ pub mod backend;
 mod fault;
 mod id;
 mod link;
+pub mod live;
 mod oracle;
 mod rng;
 pub mod schedule;
@@ -74,7 +76,7 @@ mod topology;
 pub mod wire;
 
 pub use actor::{Actor, Context, TimerId, TimerKind};
-pub use backend::{make_backend, make_backend_with, BackendKind, NetBackend};
+pub use backend::{make_backend, BackendKind, NetBackend};
 pub use fault::{FaultOp, FaultScript, ScriptParseError};
 pub use id::{ProcessId, SiteId};
 pub use link::{DelayModel, LinkConfig};

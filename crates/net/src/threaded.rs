@@ -5,10 +5,15 @@
 //! demonstrate that the protocol stack is genuinely sans-I/O: nothing in
 //! `vs-membership`, `vs-gcs` or `vs-evs` knows whether time is virtual.
 //!
-//! Fidelity notes: the router honours the shared [`Topology`] (so partitions
-//! and merges work), per-pair FIFO order comes from channel order, and timer
-//! durations map one simulated microsecond to one real microsecond. There is
-//! no artificial extra delay injection; real scheduling noise provides the
+//! # Design
+//!
+//! A [`ThreadedNet`] is the [`live`](crate::live) actor host with no
+//! uplink — the local half of a socket node, and nothing else: the same
+//! actor threads, router, clock and `net.*` accounting serve both. All that
+//! is decided here is that a destination without a local inbox has nowhere
+//! to go ([`NoUplink`]). The router honours the shared [`Topology`] (so
+//! partitions and merges work), per-pair FIFO order comes from channel
+//! order, and no delay is injected: real scheduling noise provides the
 //! asynchrony.
 //!
 //! # Example
@@ -35,62 +40,31 @@
 //! net.shutdown();
 //! ```
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, RwLock};
 
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::RwLock;
+use vs_obs::Obs;
 
-use vs_obs::{DropReason, EventKind, Obs};
-
-use crate::actor::{Actor, Context, TimerId, TimerKind};
-use crate::id::{ProcessId, SiteId};
-use crate::rng::DetRng;
-use crate::storage::Storage;
-use crate::time::SimTime;
+use crate::actor::Actor;
+use crate::backend::BackendKind;
+use crate::id::ProcessId;
+use crate::live::{Hub, LiveNet, Uplink};
 use crate::topology::Topology;
 
-enum ProcEvent<M> {
-    Msg { from: ProcessId, msg: M },
-    Crash,
-    Shutdown,
+/// The uplink of a node that is the whole network: no route to anywhere.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NoUplink;
+
+impl<M> Uplink<M> for NoUplink {
+    const KIND: BackendKind = BackendKind::Threaded;
+    type Ingress = ();
+
+    fn forward(&mut self, _: ProcessId, _: ProcessId, _: u64, _: &M, _: &Obs) -> bool {
+        false
+    }
 }
 
-enum RouterEvent<M> {
-    Send {
-        from: ProcessId,
-        to: ProcessId,
-        msg: M,
-    },
-    Register {
-        pid: ProcessId,
-        inbox: Sender<ProcEvent<M>>,
-    },
-    Shutdown,
-}
-
-/// Per-process handle: inbox sender plus the worker thread.
-type ProcHandle<M> = (Sender<ProcEvent<M>>, JoinHandle<()>);
-
-/// A running threaded network of actors.
-///
-/// Dropping the handle without calling [`ThreadedNet::shutdown`] detaches
-/// the worker threads; prefer an explicit shutdown.
-pub struct ThreadedNet<A: Actor> {
-    topology: Arc<RwLock<Topology>>,
-    obs: Obs,
-    epoch: Instant,
-    router_tx: Sender<RouterEvent<A::Msg>>,
-    outputs_rx: Receiver<(ProcessId, A::Output)>,
-    outputs_tx: Sender<(ProcessId, A::Output)>,
-    procs: BTreeMap<ProcessId, ProcHandle<A::Msg>>,
-    router: Option<JoinHandle<()>>,
-    next_pid: u64,
-    seed: u64,
-}
+/// A running threaded network of actors: a [`LiveNet`] with [`NoUplink`].
+pub type ThreadedNet<A> = LiveNet<A, NoUplink>;
 
 impl<A> ThreadedNet<A>
 where
@@ -103,406 +77,7 @@ where
     /// system).
     pub fn new(seed: u64) -> Self {
         let topology = Arc::new(RwLock::new(Topology::new()));
-        let obs = Obs::new();
-        let epoch = Instant::now();
-        let (router_tx, router_rx) = channel::<RouterEvent<A::Msg>>();
-        let (outputs_tx, outputs_rx) = channel();
-        let topo = Arc::clone(&topology);
-        let router_obs = obs.clone();
-        let router = std::thread::spawn(move || {
-            let mut inboxes: BTreeMap<ProcessId, Sender<ProcEvent<A::Msg>>> = BTreeMap::new();
-            while let Ok(ev) = router_rx.recv() {
-                match ev {
-                    RouterEvent::Register { pid, inbox } => {
-                        inboxes.insert(pid, inbox);
-                    }
-                    RouterEvent::Send { from, to, msg } => {
-                        let at_us = epoch.elapsed().as_micros() as u64;
-                        // The sender's clock right after the send record is
-                        // piggybacked to the delivery record below. Coarser
-                        // than the simulator's per-message stamp (the router
-                        // serialises sends), but still cycle-free: the merge
-                        // happens strictly after the send was journalled.
-                        let stamp = router_obs.with(|o| {
-                            o.metrics.inc("net.sent");
-                            o.journal.record(
-                                from.raw(),
-                                at_us,
-                                EventKind::MsgSend { from: from.raw(), to: to.raw() },
-                            );
-                            o.journal.clock_of(from.raw())
-                        });
-                        if topo.read().expect("topology lock").reachable(from, to) {
-                            if let Some(inbox) = inboxes.get(&to) {
-                                let delivered = inbox.send(ProcEvent::Msg { from, msg }).is_ok();
-                                let sent_us = at_us;
-                                let at_us = epoch.elapsed().as_micros() as u64;
-                                router_obs.with(|o| {
-                                    // Wall time feeds the same gauge the
-                                    // simulator's poll hook publishes from
-                                    // virtual time, so live rate math is
-                                    // backend-agnostic.
-                                    o.metrics.set_gauge("time.now_us", at_us as i64);
-                                    if delivered {
-                                        o.metrics.inc("net.delivered");
-                                        // Real queueing delay stands in for
-                                        // the simulator's sampled link delay.
-                                        o.metrics.observe(
-                                            "net.link_delay_us",
-                                            at_us.saturating_sub(sent_us),
-                                        );
-                                        o.journal.merge_clock(to.raw(), &stamp);
-                                        o.journal.record(
-                                            to.raw(),
-                                            at_us,
-                                            EventKind::MsgDeliver {
-                                                from: from.raw(),
-                                                to: to.raw(),
-                                            },
-                                        );
-                                    } else {
-                                        o.metrics.inc("net.dropped_crashed");
-                                        o.journal.record(
-                                            from.raw(),
-                                            at_us,
-                                            EventKind::MsgDrop {
-                                                from: from.raw(),
-                                                to: to.raw(),
-                                                reason: DropReason::Crashed,
-                                            },
-                                        );
-                                    }
-                                });
-                            }
-                        } else {
-                            router_obs.with(|o| {
-                                o.metrics.inc("net.dropped_partition");
-                                o.journal.record(
-                                    from.raw(),
-                                    at_us,
-                                    EventKind::MsgDrop {
-                                        from: from.raw(),
-                                        to: to.raw(),
-                                        reason: DropReason::Partition,
-                                    },
-                                );
-                            });
-                        }
-                    }
-                    RouterEvent::Shutdown => break,
-                }
-            }
-        });
-        ThreadedNet {
-            topology,
-            obs,
-            epoch,
-            router_tx,
-            outputs_rx,
-            outputs_tx,
-            procs: BTreeMap::new(),
-            router: Some(router),
-            next_pid: 0,
-            seed,
-        }
-    }
-
-    /// Spawns an actor on its own thread. Returns its process identifier.
-    pub fn spawn(&mut self, actor: A) -> ProcessId {
-        let pid = ProcessId::from_raw(self.next_pid);
-        self.next_pid += 1;
-        let site = SiteId::from_raw(pid.raw() as u32);
-        let (inbox_tx, inbox_rx) = channel::<ProcEvent<A::Msg>>();
-        let _ = self.router_tx.send(RouterEvent::Register {
-            pid,
-            inbox: inbox_tx.clone(),
-        });
-        let router_tx = self.router_tx.clone();
-        let outputs_tx = self.outputs_tx.clone();
-        let seed = self.seed ^ pid.raw().wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let obs = self.obs.clone();
-        let epoch = self.epoch;
-        let handle = std::thread::spawn(move || {
-            run_process(pid, site, actor, inbox_rx, router_tx, outputs_tx, seed, obs, epoch);
-        });
-        self.procs.insert(pid, (inbox_tx, handle));
-        pid
-    }
-
-    /// Spawns with the process id visible to the constructor — the
-    /// mirror of [`Sim::spawn_with`](crate::Sim::spawn_with).
-    pub fn spawn_with(&mut self, f: impl FnOnce(ProcessId) -> A) -> ProcessId {
-        let actor = f(ProcessId::from_raw(self.next_pid));
-        self.spawn(actor)
-    }
-
-    /// The observability handle shared by the router and all processes.
-    pub fn obs(&self) -> &Obs {
-        &self.obs
-    }
-
-    /// Always refuses: schedule recording is a simulator-only facility.
-    ///
-    /// The threaded transport's nondeterminism (thread interleavings,
-    /// wall-clock timers, channel wakeups) is owned by the OS scheduler —
-    /// there is no decision stream to capture, so a "recording" here
-    /// could never be replayed. Run the same actors under
-    /// [`Sim`](crate::Sim) with
-    /// [`SimConfig::record`](crate::SimConfig::record) to get a
-    /// replayable [`ScheduleLog`](crate::ScheduleLog).
-    pub fn enable_record(&mut self) -> Result<(), crate::schedule::RecordUnsupported> {
-        Err(crate::schedule::RecordUnsupported::for_backend("threaded"))
-    }
-
-    /// Injects a message attributed to `from`.
-    pub fn post(&self, from: ProcessId, to: ProcessId, msg: A::Msg) {
-        let _ = self.router_tx.send(RouterEvent::Send { from, to, msg });
-    }
-
-    /// Splits the network (asynchronously with respect to in-flight traffic).
-    pub fn partition(&self, groups: &[Vec<ProcessId>]) {
-        self.topology.write().expect("topology lock").partition(groups);
-    }
-
-    /// Reunifies the network.
-    pub fn heal(&self) {
-        self.topology.write().expect("topology lock").heal();
-    }
-
-    /// Crashes a process: its thread stops handling events.
-    pub fn crash(&mut self, pid: ProcessId) {
-        if let Some((inbox, _)) = self.procs.get(&pid) {
-            let _ = inbox.send(ProcEvent::Crash);
-        }
-    }
-
-    /// Outputs recorded so far without blocking.
-    pub fn poll_outputs(&self) -> Vec<(ProcessId, A::Output)> {
-        let mut out = Vec::new();
-        while let Ok(o) = self.outputs_rx.try_recv() {
-            out.push(o);
-        }
-        out
-    }
-
-    /// Blocks until `n` outputs have been produced or `timeout` elapses;
-    /// returns whatever was collected.
-    pub fn wait_outputs(&self, n: usize, timeout: Duration) -> Vec<(ProcessId, A::Output)> {
-        let deadline = Instant::now() + timeout;
-        let mut out = Vec::new();
-        while out.len() < n {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match self.outputs_rx.recv_timeout(deadline - now) {
-                Ok(o) => out.push(o),
-                Err(_) => break,
-            }
-        }
-        out
-    }
-
-    /// Stops every process and the router, joining all threads.
-    pub fn shutdown(mut self) {
-        for (_, (inbox, _)) in self.procs.iter() {
-            let _ = inbox.send(ProcEvent::Shutdown);
-        }
-        let _ = self.router_tx.send(RouterEvent::Shutdown);
-        for (_, (_, handle)) in std::mem::take(&mut self.procs) {
-            let _ = handle.join();
-        }
-        if let Some(router) = self.router.take() {
-            let _ = router.join();
-        }
-    }
-}
-
-impl<A: Actor> std::fmt::Debug for ThreadedNet<A> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadedNet")
-            .field("processes", &self.procs.len())
-            .finish()
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_process<A>(
-    pid: ProcessId,
-    site: SiteId,
-    mut actor: A,
-    inbox: Receiver<ProcEvent<A::Msg>>,
-    router: Sender<RouterEvent<A::Msg>>,
-    outputs: Sender<(ProcessId, A::Output)>,
-    seed: u64,
-    obs: Obs,
-    epoch: Instant,
-) where
-    A: Actor,
-{
-    let mut storage = Storage::new();
-    let mut rng = DetRng::seed_from(seed);
-    let mut next_timer: u64 = 0;
-    let mut timers: BinaryHeap<Reverse<(Instant, u64, TimerKind)>> = BinaryHeap::new();
-    let mut cancelled: Vec<TimerId> = Vec::new();
-
-    // A small shim around Context dispatch shared by all callbacks.
-    macro_rules! with_ctx {
-        ($body:expr) => {{
-            // All process threads (and the router) share the net's epoch so
-            // cross-process stage deltas in `vs_obs::latency` are meaningful.
-            let now = SimTime::from_micros(epoch.elapsed().as_micros() as u64);
-            let mut ctx = Context::new(pid, site, now, &mut storage, &mut rng, &mut next_timer);
-            #[allow(clippy::redundant_closure_call)]
-            ($body)(&mut actor, &mut ctx);
-            let sends = std::mem::take(&mut ctx.sends);
-            let set = std::mem::take(&mut ctx.timers_set);
-            let cancel = std::mem::take(&mut ctx.timers_cancelled);
-            let outs = std::mem::take(&mut ctx.outputs);
-            drop(ctx);
-            for (to, msg) in sends {
-                let _ = router.send(RouterEvent::Send { from: pid, to, msg });
-            }
-            for (after, kind, id) in set {
-                let at = Instant::now() + Duration::from_micros(after.as_micros());
-                timers.push(Reverse((at, id.0, kind)));
-            }
-            cancelled.extend(cancel);
-            for o in outs {
-                let _ = outputs.send((pid, o));
-            }
-        }};
-    }
-
-    with_ctx!(|a: &mut A, ctx: &mut Context<'_, A::Msg, A::Output>| a.on_start(ctx));
-
-    loop {
-        // Fire due timers first.
-        let now = Instant::now();
-        while let Some(Reverse((at, id, kind))) = timers.peek().copied() {
-            if at > now {
-                break;
-            }
-            timers.pop();
-            let tid = TimerId(id);
-            if let Some(i) = cancelled.iter().position(|c| *c == tid) {
-                cancelled.swap_remove(i);
-                continue;
-            }
-            let at_us = epoch.elapsed().as_micros() as u64;
-            obs.with(|o| {
-                o.metrics.set_gauge("time.now_us", at_us as i64);
-                o.metrics.inc("net.timers_fired");
-                o.journal
-                    .record(pid.raw(), at_us, EventKind::TimerFire { kind: kind.0 });
-            });
-            with_ctx!(|a: &mut A, ctx: &mut Context<'_, A::Msg, A::Output>| {
-                a.on_timer(tid, kind, ctx)
-            });
-        }
-        let wait = timers
-            .peek()
-            .map(|Reverse((at, _, _))| at.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_millis(50));
-        match inbox.recv_timeout(wait) {
-            Ok(ProcEvent::Msg { from, msg }) => {
-                with_ctx!(|a: &mut A, ctx: &mut Context<'_, A::Msg, A::Output>| {
-                    a.on_message(from, msg, ctx)
-                });
-            }
-            Ok(ProcEvent::Crash) | Ok(ProcEvent::Shutdown) => return,
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::time::SimDuration;
-
-    struct Echo;
-    impl Actor for Echo {
-        type Msg = u32;
-        type Output = (ProcessId, u32);
-        fn on_message(
-            &mut self,
-            from: ProcessId,
-            msg: u32,
-            ctx: &mut Context<'_, u32, (ProcessId, u32)>,
-        ) {
-            ctx.output((from, msg));
-            if msg > 0 {
-                ctx.send(from, msg - 1);
-            }
-        }
-    }
-
-    #[test]
-    fn messages_round_trip_between_threads() {
-        let mut net: ThreadedNet<Echo> = ThreadedNet::new(42);
-        let a = net.spawn(Echo);
-        let b = net.spawn(Echo);
-        net.post(a, b, 3);
-        let outs = net.wait_outputs(4, Duration::from_secs(10));
-        assert_eq!(outs.len(), 4, "3,2,1,0 bounce between a and b");
-        net.shutdown();
-    }
-
-    #[test]
-    fn partition_blocks_and_heal_restores() {
-        let mut net: ThreadedNet<Echo> = ThreadedNet::new(43);
-        let a = net.spawn(Echo);
-        let b = net.spawn(Echo);
-        net.partition(&[vec![a], vec![b]]);
-        net.post(a, b, 0);
-        let outs = net.wait_outputs(1, Duration::from_millis(300));
-        assert!(outs.is_empty(), "partitioned message must not arrive");
-        net.heal();
-        net.post(a, b, 0);
-        let outs = net.wait_outputs(1, Duration::from_secs(10));
-        assert_eq!(outs.len(), 1);
-        net.shutdown();
-    }
-
-    #[test]
-    fn crash_silences_a_process() {
-        let mut net: ThreadedNet<Echo> = ThreadedNet::new(44);
-        let a = net.spawn(Echo);
-        let b = net.spawn(Echo);
-        net.crash(b);
-        std::thread::sleep(Duration::from_millis(100));
-        net.post(a, b, 5);
-        let outs = net.wait_outputs(1, Duration::from_millis(300));
-        assert!(outs.is_empty());
-        net.shutdown();
-    }
-
-    struct Tick;
-    impl Actor for Tick {
-        type Msg = ();
-        type Output = &'static str;
-        fn on_start(&mut self, ctx: &mut Context<'_, (), &'static str>) {
-            ctx.set_timer(SimDuration::from_millis(20), TimerKind(0));
-        }
-        fn on_message(&mut self, _: ProcessId, _: (), _: &mut Context<'_, (), &'static str>) {}
-        fn on_timer(
-            &mut self,
-            _t: TimerId,
-            _k: TimerKind,
-            ctx: &mut Context<'_, (), &'static str>,
-        ) {
-            ctx.output("tick");
-        }
-    }
-
-    #[test]
-    fn wall_clock_timers_fire() {
-        let mut net: ThreadedNet<Tick> = ThreadedNet::new(45);
-        net.spawn(Tick);
-        let outs = net.wait_outputs(1, Duration::from_secs(10));
-        assert_eq!(outs.len(), 1);
-        net.shutdown();
+        let hub = Arc::new(Hub { obs: Obs::new(), topology, inboxes: RwLock::default() });
+        LiveNet::start(seed, hub, NoUplink, ())
     }
 }

@@ -236,17 +236,6 @@ fn cmd_bench_gate(mut args: Vec<String>) -> Result<ExitCode, String> {
     }
 }
 
-/// Minimal actor used only to instantiate a live transport so its
-/// [`vs_net::schedule::RecordUnsupported`] refusal can be reported
-/// through the same error type every backend shares.
-struct RecordProbe;
-
-impl vs_net::Actor for RecordProbe {
-    type Msg = u8;
-    type Output = ();
-    fn on_message(&mut self, _: ProcessId, _: u8, _: &mut vs_net::Context<'_, u8, ()>) {}
-}
-
 fn cmd_record(mut args: Vec<String>) -> Result<ExitCode, String> {
     let seed = parse_u64(
         "--seed",
@@ -262,21 +251,9 @@ fn cmd_record(mut args: Vec<String>) -> Result<ExitCode, String> {
     }
     // The live transports refuse deterministic recording; surface their
     // shared refusal verbatim so every caller sees the same wording.
-    match backend {
-        vs_net::BackendKind::Sim => {}
-        vs_net::BackendKind::Threaded => {
-            let err = vs_net::threaded::ThreadedNet::<RecordProbe>::new(seed)
-                .enable_record()
-                .expect_err("threaded transport cannot record");
-            return Err(format!("record: {err}"));
-        }
-        vs_net::BackendKind::Socket => {
-            let mut net = vs_net::socket::SocketNet::<RecordProbe>::new(seed)
-                .map_err(|e| format!("record: cannot bind socket transport: {e}"))?;
-            let err = net.enable_record().expect_err("socket transport cannot record");
-            net.shutdown();
-            return Err(format!("record: {err}"));
-        }
+    if backend != vs_net::BackendKind::Sim {
+        let err = vs_net::RecordUnsupported::for_backend(backend.as_str());
+        return Err(format!("record: {err}"));
     }
     let run = run_gcs_sweep(seed, RunMode::Record);
     let log = run.log.expect("record mode keeps the log");
