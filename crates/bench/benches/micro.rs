@@ -11,7 +11,9 @@
 //! * flush-delivery computation (plain view synchrony's own view-change
 //!   cost, for comparison);
 //! * acknowledgement tracking and causal/total order buffers (per-message
-//!   costs).
+//!   costs);
+//! * one endpoint tick over a backlog of unstable receipts (what the actor
+//!   is deaf for every 10 ms under load).
 //!
 //! Uses a small self-contained harness (median-of-samples timing, one JSON
 //! line per benchmark on stdout) instead of Criterion so the workspace
@@ -23,9 +25,31 @@ use std::time::Instant;
 
 use bytes::Bytes;
 use vs_evs::{classify_enriched, EView, MergeOp, SubviewId, SvSetId};
-use vs_gcs::{flush_deliveries, AckTracker, FlushPayload, Provenance, View, ViewId, ViewMsg};
-use vs_net::ProcessId;
+use vs_gcs::{
+    flush_deliveries, AckTracker, FlushPayload, GcsConfig, GcsEndpoint, Provenance, View, ViewId,
+    ViewMsg,
+};
+use vs_net::{
+    Actor, DelayModel, LinkConfig, ProcessId, Sim, SimConfig, SimDuration, SimTime, TimerKind,
+};
 use vs_obs::json::Obj;
+
+const SAMPLES: usize = 15;
+
+/// Prints one JSON result line from per-iteration samples.
+fn report(name: &str, mut per_iter_ns: Vec<u64>, iters_per_sample: u64) {
+    per_iter_ns.sort_unstable();
+    println!(
+        "{}",
+        Obj::new()
+            .str("bench", name)
+            .u64("median_ns", per_iter_ns[per_iter_ns.len() / 2])
+            .u64("min_ns", per_iter_ns[0])
+            .u64("max_ns", per_iter_ns[per_iter_ns.len() - 1])
+            .u64("iters_per_sample", iters_per_sample)
+            .finish()
+    );
+}
 
 /// Times `f` over several sampled batches and prints a JSON result line.
 fn bench<R>(name: &str, mut f: impl FnMut() -> R) {
@@ -41,8 +65,7 @@ fn bench<R>(name: &str, mut f: impl FnMut() -> R) {
         }
         iters_per_sample *= 2;
     }
-    const SAMPLES: usize = 15;
-    let mut per_iter_ns: Vec<u64> = (0..SAMPLES)
+    let per_iter_ns: Vec<u64> = (0..SAMPLES)
         .map(|_| {
             let t = Instant::now();
             for _ in 0..iters_per_sample {
@@ -51,19 +74,7 @@ fn bench<R>(name: &str, mut f: impl FnMut() -> R) {
             (t.elapsed().as_nanos() as u64) / iters_per_sample
         })
         .collect();
-    per_iter_ns.sort_unstable();
-    let median = per_iter_ns[SAMPLES / 2];
-    let (min, max) = (per_iter_ns[0], per_iter_ns[SAMPLES - 1]);
-    println!(
-        "{}",
-        Obj::new()
-            .str("bench", name)
-            .u64("median_ns", median)
-            .u64("min_ns", min)
-            .u64("max_ns", max)
-            .u64("iters_per_sample", iters_per_sample)
-            .finish()
-    );
+    report(name, per_iter_ns, iters_per_sample);
 }
 
 fn pid(n: u64) -> ProcessId {
@@ -231,6 +242,50 @@ fn bench_order_buffers() {
     });
 }
 
+/// One tick of an endpoint that holds 2 500 receipts from 3 senders, none
+/// of them stable yet (no ack has had the time to come back), so the
+/// pruning step can drop nothing of what it holds. A tick consumes the
+/// state it is timed on, so every sample builds its own group.
+fn bench_on_tick() {
+    const SENDERS: usize = 3;
+    const RECEIPTS: usize = 2_500;
+    /// The endpoint's periodic tick (`TICK` in `vs_gcs::endpoint`).
+    const TICK: TimerKind = TimerKind(1);
+    let hop = SimDuration::from_millis(3);
+    let per_tick_ns = (0..SAMPLES)
+        .map(|_| {
+            let link = LinkConfig { delay: DelayModel::Constant(hop), loss: 0.0 };
+            let mut sim: Sim<GcsEndpoint<u64>> =
+                Sim::new(1, SimConfig { link, ..SimConfig::default() });
+            let mut pids = Vec::new();
+            for _ in 0..=SENDERS {
+                let site = sim.alloc_site();
+                pids.push(sim.spawn_with(site, |p| GcsEndpoint::new(p, GcsConfig::default())));
+            }
+            let all = pids.clone();
+            for &p in &pids {
+                sim.invoke(p, |e, _| e.set_contacts(all.iter().copied()));
+            }
+            sim.run_until(SimTime::from_micros(701_000));
+            assert_eq!(sim.actor(pids[0]).expect("alive").view().len(), SENDERS + 1);
+            for i in 0..RECEIPTS {
+                sim.invoke(pids[1 + i % SENDERS], |e, ctx| e.mcast(i as u64, ctx));
+            }
+            // One hop: everything has arrived, and no ack for it can have.
+            sim.run_for(hop + SimDuration::from_micros(500));
+            sim.invoke(pids[0], |e, ctx| {
+                // The endpoint ignores which timer fired; any id will do.
+                let id = ctx.set_timer(SimDuration::from_secs(3_600), TimerKind(u32::MAX));
+                let t = Instant::now();
+                e.on_timer(id, TICK, ctx);
+                t.elapsed().as_nanos() as u64
+            })
+            .expect("alive")
+        })
+        .collect();
+    report(&format!("on_tick/{RECEIPTS}_unstable_from_{SENDERS}"), per_tick_ns, 1);
+}
+
 fn main() {
     bench_eview_compose();
     bench_annotation_codec();
@@ -239,4 +294,5 @@ fn main() {
     bench_flush_deliveries();
     bench_ack_tracking();
     bench_order_buffers();
+    bench_on_tick();
 }

@@ -133,8 +133,9 @@ fn main() {
     println!(
         "\nthe data plane folds acks into data (piggyback deltas), repairs losses\n\
          by NACK, and suppresses heartbeats towards peers that recently received\n\
-         any traffic; the stability cut rides existing messages instead of\n\
-         dedicated rounds (EXPERIMENTS.md W1 keeps the replaced plane's numbers)."
+         any traffic; the stability cut rides existing messages, and a member\n\
+         with nothing to send acks the origin alone, at once (EXPERIMENTS.md W1\n\
+         keeps the replaced plane's numbers)."
     );
     let bench_path = vs_bench::artifact_path("BENCH_wire_efficiency.json");
     vs_bench::write_bench_json(&bench_path, "exp_wire_efficiency", &agg)

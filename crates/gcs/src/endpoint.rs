@@ -8,7 +8,15 @@
 //!
 //! Life of a multicast: the application calls [`GcsEndpoint::mcast`]; the
 //! message is tagged with the current view and a per-view sequence number,
-//! delivered locally, and sent to every other view member. Losses are
+//! delivered locally, and sent to every other view member, carrying the
+//! sender's own ack news. A receiver whose receive frontier the copy moves
+//! arms a zero-delay timer; hosts look at timers only once the inbox batch
+//! in hand is done, so by then either a multicast of the receiver's own
+//! has carried the new frontier to everyone, or the timer tells it to the
+//! origin alone, in a one-entry heartbeat. The origin's stability cut thus
+//! follows one hop out and one hop back; the 10 ms tick still sends the
+//! full ack vector to everyone (third parties prune and, under uniform
+//! delivery, release by it) and prunes what has become stable. Losses are
 //! repaired by receiver-driven negative acknowledgements, with a backed-off
 //! sender-side resend as the fallback. When the membership changes, the
 //! agreement protocol blocks multicasting, collects every member's unstable
@@ -33,8 +41,11 @@ use crate::message::{MsgId, ViewMsg};
 use crate::ordering::{OrderBuffer, OrderingMode};
 use crate::stability::AckTracker;
 
-/// Timer kind used for the endpoint's single periodic tick.
+/// Timer kind of the endpoint's periodic tick.
 const TICK: TimerKind = TimerKind(1);
+/// Timer kind of the zero-delay acknowledgement timer (see
+/// [`GcsEndpoint::arm_ack`]).
+const ACK: TimerKind = TimerKind(2);
 
 /// The latency-attribution identity of a view message: view id + message
 /// id, unique across the fleet (see [`vs_obs::latency`]).
@@ -90,8 +101,8 @@ pub struct GcsConfig {
 
 /// Acknowledgement state folded into a data or agreement message, so
 /// stability information rides the traffic that is flowing anyway and
-/// dedicated stability rounds (full-vector heartbeats) are only needed
-/// when the group is quiescent.
+/// dedicated acknowledgements (heartbeats) are only needed by a member
+/// that has nothing to send.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Piggyback {
     /// View the frontiers belong to (sequence numbers restart per view).
@@ -109,12 +120,15 @@ pub struct Piggyback {
 /// Wire messages exchanged between endpoints.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Wire<M> {
-    /// Periodic liveness beacon carrying the sender's acknowledgement
-    /// vector for its current view.
+    /// Liveness beacon carrying acknowledgements for the sender's current
+    /// view: its whole vector on the periodic tick, or just the addressee's
+    /// own entry when it acknowledges a receipt between ticks. Entries are
+    /// absolute and merged monotonically, so the two mix freely.
     Heartbeat {
         /// The sender's current view.
         view: ViewId,
-        /// Per-sender contiguous receive frontiers at the sender.
+        /// Contiguous receive frontiers at the sender, per origin: all of
+        /// them, or the addressee's alone.
         acks: BTreeMap<ProcessId, u64>,
         /// The sender's highest multicast sequence number in `view`, for
         /// tail-loss detection by the receiver.
@@ -169,7 +183,10 @@ pub struct GcsEndpoint<M> {
     view: View,
     my_seq: u64,
     sent: BTreeMap<u64, ViewMsg<M>>,
-    received: BTreeMap<MsgId, ViewMsg<M>>,
+    /// Messages of the installed view not yet known stable, per sender and
+    /// sequence number: what a flush must carry. One map per sender, so the
+    /// tick drops a sender's stable prefix without visiting the rest.
+    received: BTreeMap<ProcessId, BTreeMap<u64, ViewMsg<M>>>,
     delivered: BTreeSet<MsgId>,
     acks: AckTracker,
     order_buf: OrderBuffer<M>,
@@ -186,6 +203,11 @@ pub struct GcsEndpoint<M> {
     /// Ack frontiers last advertised to the view (via piggyback or
     /// heartbeat) — the base of the delta encoding.
     advertised: BTreeMap<ProcessId, u64>,
+    /// Per origin: the receive frontier last acknowledged to it directly
+    /// by the [`ACK`] timer.
+    acked: BTreeMap<ProcessId, u64>,
+    /// Whether an [`ACK`] timer is pending (at most one is).
+    ack_armed: bool,
     /// Per-sender retry throttle of the receiver-side tail-NACK path.
     nack_backoff: BTreeMap<ProcessId, NackState>,
     /// Per-peer grace/backoff state of the sender-side fallback
@@ -258,6 +280,8 @@ impl<M: Clone + std::fmt::Debug + 'static> GcsEndpoint<M> {
             obs: Obs::new(),
             stab_floor: BTreeMap::new(),
             advertised: BTreeMap::new(),
+            acked: BTreeMap::new(),
+            ack_armed: false,
             nack_backoff: BTreeMap::new(),
             resend_state: BTreeMap::new(),
             diverged: BTreeMap::new(),
@@ -410,16 +434,119 @@ impl<M: Clone + std::fmt::Debug + 'static> GcsEndpoint<M> {
         }
     }
 
-    /// Merges a piggyback received from `from`: advances the peer's ack
-    /// frontiers (monotone merge), releases newly stable messages, and
-    /// checks the peer's send frontier for tail loss.
+    /// Merges a piggyback received from `from`, if it speaks of the
+    /// installed view.
     fn absorb_piggyback(&mut self, from: ProcessId, pb: Piggyback, ctx: &mut Ctx<'_, M>) {
-        if pb.view != self.view.id() || !self.view.contains(from) {
+        if pb.view == self.view.id() && self.view.contains(from) {
+            self.absorb_acks(from, pb.acks, pb.sent_upto, ctx);
+        }
+    }
+
+    /// Merges ack entries heard from view member `from` (piggybacked or in
+    /// a heartbeat): advances the peer's ack frontiers (monotone merge),
+    /// notes the new cut of this endpoint's own messages if they moved it,
+    /// releases newly stable messages, and checks the peer's send frontier
+    /// for tail loss.
+    fn absorb_acks(
+        &mut self,
+        from: ProcessId,
+        acks: impl IntoIterator<Item = (ProcessId, u64)>,
+        sent_upto: u64,
+        ctx: &mut Ctx<'_, M>,
+    ) {
+        let before = self.acks.peer_frontier(from, self.me);
+        self.acks.on_peer_acks(from, acks);
+        if self.acks.peer_frontier(from, self.me) > before {
+            // Only the cut of this endpoint's own messages is followed per
+            // ack: it is the one a sender waits on. The others' cuts only
+            // drive pruning and are noted by the tick.
+            let cut = self.stability_cut(self.me);
+            self.note_stability(self.me, cut, ctx.now());
+        }
+        self.release_stable(ctx);
+        self.maybe_nack_tail(from, sent_upto, ctx);
+    }
+
+    /// Edge-triggered record of `sender`'s stability cut reaching `cut`:
+    /// counts and journals the advance, and stamps this endpoint's own
+    /// messages stable (only the sender stamps: the latency tracker is
+    /// fleet-shared, and one stable sample per message is the meaningful
+    /// figure).
+    fn note_stability(&mut self, sender: ProcessId, cut: u64, now: SimTime) {
+        if cut <= self.stab_floor.get(&sender).copied().unwrap_or(0) {
             return;
         }
-        self.acks.on_peer_acks(from, pb.acks);
-        self.release_stable(ctx);
-        self.maybe_nack_tail(from, pb.sent_upto, ctx);
+        self.stab_floor.insert(sender, cut);
+        let vid = self.view.id();
+        let (me, now_us) = (self.me, now.as_micros());
+        self.obs.with(|st| {
+            st.metrics.inc("gcs.stability_advances");
+            if sender == me {
+                st.latency.on_stable(
+                    &mut st.metrics,
+                    vid.epoch,
+                    vid.coordinator.raw(),
+                    sender.raw(),
+                    cut,
+                    now_us,
+                );
+            }
+            st.journal
+                .record(me.raw(), now_us, EventKind::StabilityAdvance { frontier: cut });
+        });
+    }
+
+    /// What `origin` has been told of this endpoint's receive frontier for
+    /// its messages: the larger of the last broadcast advert and the last
+    /// direct acknowledgement.
+    fn told(&self, origin: ProcessId) -> u64 {
+        let of = |m: &BTreeMap<ProcessId, u64>| m.get(&origin).copied().unwrap_or(0);
+        of(&self.advertised).max(of(&self.acked))
+    }
+
+    /// Arms the zero-delay [`ACK`] timer if this endpoint's receive
+    /// frontier for `origin` is news to it. A host looks at timers only
+    /// between inbox batches, so the timer fires once the batch is done and
+    /// the application has reacted: a multicast sent in reaction carries the
+    /// acks itself and leaves the timer nothing to say.
+    fn arm_ack(&mut self, origin: ProcessId, ctx: &mut Ctx<'_, M>) {
+        if !self.ack_armed
+            && origin != self.me
+            && self.acks.received_frontier(origin) > self.told(origin)
+        {
+            self.ack_armed = true;
+            ctx.set_timer(SimDuration::ZERO, ACK);
+        }
+    }
+
+    /// The [`ACK`] timer fired: every view member whose frontier is still
+    /// news is told it, and only it. Silent while blocked: the flush
+    /// carries the unstable messages themselves.
+    fn on_ack_timer(&mut self, ctx: &mut Ctx<'_, M>) {
+        self.ack_armed = false;
+        if self.is_blocked() {
+            return;
+        }
+        let peers: Vec<ProcessId> = self
+            .view
+            .members()
+            .iter()
+            .copied()
+            .filter(|&p| p != self.me)
+            .collect();
+        for p in peers {
+            let frontier = self.acks.received_frontier(p);
+            if frontier > self.told(p) {
+                self.acked.insert(p, frontier);
+                self.obs.inc("gcs.acks_sent");
+                let ack = Wire::Heartbeat {
+                    view: self.view.id(),
+                    acks: BTreeMap::from([(p, frontier)]),
+                    sent_upto: self.my_seq,
+                };
+                self.post(p, ack, ctx);
+            }
+        }
     }
 
     /// Receiver-driven repair: `from` claims to have multicast up to
@@ -556,7 +683,8 @@ impl<M: Clone + std::fmt::Debug + 'static> GcsEndpoint<M> {
             .filter(|&p| p != self.me)
             .collect();
         // The multicast carries the delta-encoded stability state: acks
-        // ride the data while it flows; dedicated rounds only when idle.
+        // ride the data while it flows; the ack timer speaks only for a
+        // member with nothing to send.
         let pb = self.make_piggyback(false);
         for &p in &peers {
             self.post(p, Wire::App(msg.clone(), Some(pb.clone())), ctx);
@@ -569,7 +697,8 @@ impl<M: Clone + std::fmt::Debug + 'static> GcsEndpoint<M> {
         if msg.view != self.view.id() {
             return; // a different view's message: Uniqueness forbids delivery
         }
-        if self.received.contains_key(&msg.id) || self.delivered.contains(&msg.id) {
+        let held = self.received.get(&msg.id.sender);
+        if held.is_some_and(|m| m.contains_key(&msg.id.seq)) || self.delivered.contains(&msg.id) {
             return; // duplicate (Integrity)
         }
         let gaps = self.acks.on_receive(msg.id.sender, msg.id.seq);
@@ -581,7 +710,11 @@ impl<M: Clone + std::fmt::Debug + 'static> GcsEndpoint<M> {
             };
             self.post(msg.id.sender, nack, ctx);
         }
-        self.received.insert(msg.id, msg.clone());
+        self.received
+            .entry(msg.id.sender)
+            .or_default()
+            .insert(msg.id.seq, msg.clone());
+        self.arm_ack(msg.id.sender, ctx);
         // First acceptance at this endpoint closes the wire stage (the
         // sender's own offer closes it at zero).
         let key = stamp_key(&msg);
@@ -702,12 +835,13 @@ impl<M: Clone + std::fmt::Debug + 'static> GcsEndpoint<M> {
 
     fn on_tick(&mut self, ctx: &mut Ctx<'_, M>) {
         let now = ctx.now();
-        // 1. Heartbeats (liveness beacon + the dedicated stability round).
+        // 1. Heartbeats (liveness beacon + the full-vector stability round).
         //    A peer that recently received any traffic from us — data with
-        //    piggybacked acks, agreement messages, or an earlier beacon —
-        //    already holds fresh liveness evidence, so its beacon is
-        //    suppressed; full-vector heartbeats remain the quiescent-path
-        //    stability round and heal piggyback deltas lost in flight.
+        //    piggybacked acks, agreement messages, a direct ack or an
+        //    earlier beacon — already holds fresh liveness evidence, so its
+        //    beacon is suppressed; full-vector heartbeats remain the way
+        //    third parties learn a frontier nobody multicast after, and heal
+        //    piggyback deltas and direct acks lost in flight.
         //    A beacon carrying *news* (the ack vector moved since it was
         //    last advertised) is never suppressed: receivers' acks are what
         //    advance the stability cut — and what uniform delivery waits
@@ -774,41 +908,18 @@ impl<M: Clone + std::fmt::Debug + 'static> GcsEndpoint<M> {
         let actions = self.agreement.on_tick(now);
         self.process_agreement(actions, ctx);
         // 4. Stability pruning: messages everyone has can never matter to a
-        //    flush again.
+        //    flush again. Each view member's cut is computed once, and its
+        //    stable prefix is split off: the cost is what is dropped, not
+        //    what is kept.
         let members: Vec<ProcessId> = self.view.members().iter().copied().collect();
-        let senders: BTreeSet<ProcessId> = self.received.keys().map(|id| id.sender).collect();
-        for s in senders {
-            let frontier = self.stability_frontier_for(s, members.iter().copied());
-            if frontier > self.stab_floor.get(&s).copied().unwrap_or(0) {
-                self.stab_floor.insert(s, frontier);
-                let own = s == self.me;
-                let vid = self.view.id();
-                self.obs.with(|st| {
-                    st.metrics.inc("gcs.stability_advances");
-                    if own {
-                        // Only the sender stamps its messages stable: the
-                        // tracker is fleet-shared, and one stable sample
-                        // per message is the meaningful figure.
-                        st.latency.on_stable(
-                            &mut st.metrics,
-                            vid.epoch,
-                            vid.coordinator.raw(),
-                            s.raw(),
-                            frontier,
-                            now.as_micros(),
-                        );
-                    }
-                    st.journal.record(
-                        self.me.raw(),
-                        now.as_micros(),
-                        EventKind::StabilityAdvance { frontier },
-                    );
-                });
+        for &s in &members {
+            let cut = self.stability_frontier_for(s, members.iter().copied());
+            self.note_stability(s, cut, now);
+            if let Some(held) = self.received.get_mut(&s) {
+                *held = held.split_off(&(cut + 1));
             }
-            self.received
-                .retain(|id, _| id.sender != s || id.seq > frontier);
             if s == self.me {
-                self.sent.retain(|&seq, _| seq > frontier);
+                self.sent = self.sent.split_off(&(cut + 1));
             }
         }
         // 5. Fallback retransmission towards peers whose acks stalled —
@@ -850,9 +961,9 @@ impl<M: Clone + std::fmt::Debug + 'static> GcsEndpoint<M> {
                                 proposal.epoch,
                             ));
                         }
-                        let mut unstable: Vec<ViewMsg<M>> =
-                            self.received.values().cloned().collect();
-                        unstable.sort_by_key(|m| m.flush_key());
+                        // In flush order already: by sender, then sequence.
+                        let unstable: Vec<ViewMsg<M>> =
+                            self.received.values().flat_map(BTreeMap::values).cloned().collect();
                         self.obs.with(|st| {
                             st.metrics.inc("gcs.flush_rounds");
                             st.journal.record(
@@ -937,6 +1048,7 @@ impl<M: Clone + std::fmt::Debug + 'static> GcsEndpoint<M> {
         self.held_for_stability.clear();
         self.stab_floor.clear();
         self.advertised.clear();
+        self.acked.clear();
         self.nack_backoff.clear();
         self.resend_state.clear();
         self.diverged.clear();
@@ -1010,11 +1122,7 @@ impl<M: Clone + std::fmt::Debug + 'static> Actor for GcsEndpoint<M> {
                     }
                 }
                 if view == self.view.id() && self.view.contains(from) {
-                    self.acks.on_peer_acks(from, acks);
-                    self.release_stable(ctx);
-                    // Receiver-driven repair: NACK the tail the peer
-                    // announced but we never saw.
-                    self.maybe_nack_tail(from, sent_upto, ctx);
+                    self.absorb_acks(from, acks, sent_upto, ctx);
                 }
             }
             Wire::App(msg, pb) => {
@@ -1068,8 +1176,13 @@ impl<M: Clone + std::fmt::Debug + 'static> Actor for GcsEndpoint<M> {
     }
 
     fn on_timer(&mut self, _timer: TimerId, kind: TimerKind, ctx: &mut Ctx<'_, M>) {
-        if kind == TICK && !self.left {
-            self.on_tick(ctx);
+        if self.left {
+            return;
+        }
+        match kind {
+            TICK => self.on_tick(ctx),
+            ACK => self.on_ack_timer(ctx),
+            _ => {}
         }
     }
 }
@@ -1371,6 +1484,27 @@ mod tests {
             .collect();
         assert!(names.contains(&"view_install"), "{names:?}");
         assert!(names.contains(&"view_change_start"), "{names:?}");
+    }
+
+    #[test]
+    fn stash_replayed_after_an_abandoned_flush_is_acked_at_once() {
+        let (mut sim, pids) = group(12, 3);
+        let (origin, me) = (pids[0], pids[1]);
+        let view = latest_view(&sim, me).id();
+        // A copy that arrived mid-flush waits in the stash; the coordinator
+        // goes silent and the flush is abandoned.
+        sim.invoke(me, |e, ctx| {
+            e.stash.push(ViewMsg::new(view, origin, 1, "mid-flush".to_string()));
+            e.process_agreement(vec![AgreementAction::Abandoned], ctx);
+            assert!(e.ack_armed, "the replayed receipt moved a frontier");
+        });
+        let sent = sim.stats().sent;
+        // The ack timer is an event of this same instant.
+        sim.run_until(sim.now());
+        let e = sim.actor(me).unwrap();
+        assert!(!e.ack_armed);
+        assert_eq!(e.obs().counter("gcs.acks_sent"), 1);
+        assert_eq!(sim.stats().sent, sent + 1, "one ack, to the origin only");
     }
 
     #[test]

@@ -304,7 +304,9 @@ impl Timers {
 
 /// The actor worker loop: the clock handed to every [`Context`] is the
 /// shared UNIX-epoch clock, and inbound messages arrive in batches that
-/// one wakeup processes end-to-end.
+/// one wakeup processes end-to-end. Timers are examined only between inbox
+/// batches, so even a zero-delay timer set while a batch is being handled
+/// fires after the batch's last message.
 fn run_process<A: Actor>(
     pid: ProcessId,
     mut actor: A,
@@ -705,6 +707,36 @@ mod tests {
             assert_eq!(snap.counter("net.dropped_partition"), 1, "{kind}");
             net.shutdown();
         }
+    }
+
+    /// A zero-delay timer set while handling the first message of a batch
+    /// fires after the batch's last message, and before the next event.
+    #[test]
+    fn timers_are_examined_only_between_inbox_batches() {
+        struct Deferring;
+        impl Actor for Deferring {
+            type Msg = u32;
+            type Output = u32;
+            fn on_message(&mut self, _: ProcessId, msg: u32, ctx: &mut Context<'_, u32, u32>) {
+                if msg == 0 {
+                    ctx.set_timer(SimDuration::ZERO, TimerKind(0));
+                }
+                ctx.output(msg);
+            }
+            fn on_timer(&mut self, _: TimerId, _: TimerKind, ctx: &mut Context<'_, u32, u32>) {
+                ctx.output(u32::MAX);
+            }
+        }
+        let (pid, peer) = (ProcessId::from_raw(0), ProcessId::from_raw(1));
+        let (inbox_tx, inbox_rx) = channel();
+        let (router_tx, _router_rx) = channel();
+        let (outputs_tx, outputs_rx) = channel();
+        inbox_tx.send(ProcEvent::Batch((0..4).map(|i| (peer, i)).collect())).unwrap();
+        inbox_tx.send(ProcEvent::Batch(vec![(peer, 4)])).unwrap();
+        inbox_tx.send(ProcEvent::Stop).unwrap();
+        run_process(pid, Deferring, inbox_rx, router_tx, outputs_tx, DetRng::seed_from(0), Obs::new());
+        let outs: Vec<u32> = outputs_rx.try_iter().map(|(_, o)| o).collect();
+        assert_eq!(outs, vec![0, 1, 2, 3, u32::MAX, 4]);
     }
 
     /// Cancelling a timer that already fired, or never existed, must not

@@ -276,11 +276,15 @@ impl LatencyTracker {
     ) {
         let lo = StampKey { epoch, coord, sender, seq: 0 };
         let hi = StampKey { epoch, coord, sender, seq: upto_seq };
-        for (_, e) in self.stamps.range_mut(lo..=hi) {
-            if !e.stable {
-                e.stable = true;
-                metrics.observe(STAGE_STABLE, now_us.saturating_sub(e.submit_us));
+        // Frontiers only grow and every call covers a whole prefix, so the
+        // stable entries of a sender are a prefix too: walk down from the
+        // frontier and stop at the first one an earlier call stamped.
+        for (_, e) in self.stamps.range_mut(lo..=hi).rev() {
+            if e.stable {
+                break;
             }
+            e.stable = true;
+            metrics.observe(STAGE_STABLE, now_us.saturating_sub(e.submit_us));
         }
     }
 }

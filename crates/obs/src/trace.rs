@@ -453,21 +453,24 @@ impl Journal {
         self.next_seq += 1;
         let clock = self.clocks.entry(process).or_default();
         clock.tick(process);
-        let event = TraceEvent {
-            seq,
-            at_us,
-            process,
-            clock: clock.clone(),
-            kind,
-        };
         let ring = self.rings.entry(process).or_default();
         if ring.len() == self.capacity_per_process {
             ring.pop_front();
             self.evicted += 1;
         }
-        ring.push_back(event.clone());
+        // The event (and its vector clock) is built once, in the ring; the
+        // monitor reads it there.
+        ring.push_back(TraceEvent {
+            seq,
+            at_us,
+            process,
+            clock: clock.clone(),
+            kind,
+        });
         if let Some(mut monitor) = self.monitor.take() {
-            if let Some(violation) = monitor.observe(&event) {
+            let event = ring.back().expect("just pushed");
+            if let Some(violation) = monitor.observe(event) {
+                let event = event.clone();
                 let cone = crate::global::causal_cone(&self.all(), &event);
                 let skip = cone.len().saturating_sub(MONITOR_SLICE_WINDOW);
                 monitor.push_report(MonitorReport {

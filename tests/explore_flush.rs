@@ -41,12 +41,22 @@ fn mutated() -> ExploreOpts {
 }
 
 /// Satellite 1: the explored space of the correct protocol is clean,
-/// and its size is pinned. The race window holds three same-instant
-/// events (delivery to p1, delivery to p2, the partition), so the full
-/// space is 3! = 6 interleavings; sleep sets prune the one pair that
-/// commutes outright. End-state digests are interleaving-sensitive
-/// (the journal records event order), so the no-reduction count (4)
-/// upper-bounds the reduced one (3) — both far below the run count,
+/// and its size is pinned. The race window holds five same-instant
+/// events: the deliveries to p1 and p2 (D1, D2), the partition that cuts
+/// p1 off (P), and the zero-delay ack timer each delivery arms at its
+/// receiver (A1 after D1, A2 after D2). A delivery the partition beats is
+/// dropped and arms nothing, so the full space is the 20 orders of all
+/// five with D1 first among {D1, A1, P} and D2 before A2 (5!/(3·2)), plus
+/// the 6 orders of {P, D1, D2, A2} with P before D1 and D2 before A2
+/// (4!/(2·2)): 26 interleavings. The partition depends on everything and
+/// the two receivers' events commute, so what distinguishes two orders to
+/// the sleep sets is where P falls in each receiver's chain: 3 × 3 = 9
+/// placements at least, which they cover in 14 runs, pruning 5 siblings.
+/// End-state digests are interleaving-sensitive (the journal records event
+/// order, and the order of A1 and A2 decides in which order their acks
+/// reach p0 three milliseconds later), so the full space ends in more
+/// states (15) than it has classes, and the no-reduction count
+/// upper-bounds the reduced one (8) — both far below the run count,
 /// because schedules that only reorder independent events converge.
 #[test]
 fn exhaustive_exploration_of_the_flush_race_is_clean_and_stable() {
@@ -54,10 +64,10 @@ fn exhaustive_exploration_of_the_flush_race_is_clean_and_stable() {
     assert!(reduced.violation.is_none(), "{}", reduced.summary());
     let s = reduced.stats;
     assert!(!s.budget_exhausted, "{}", reduced.summary());
-    assert_eq!(s.schedules, 5, "{}", reduced.summary());
-    assert_eq!(s.distinct_states, 3, "{}", reduced.summary());
-    assert_eq!(s.max_choice_points, 2, "{}", reduced.summary());
-    assert_eq!(s.pruned_sleep, 1, "{}", reduced.summary());
+    assert_eq!(s.schedules, 14, "{}", reduced.summary());
+    assert_eq!(s.distinct_states, 8, "{}", reduced.summary());
+    assert_eq!(s.max_choice_points, 4, "{}", reduced.summary());
+    assert_eq!(s.pruned_sleep, 5, "{}", reduced.summary());
     assert_eq!(s.rng_draws, 0, "the flush scenario must stay draw-free");
 
     let full = explore_flush(&ExploreOpts {
@@ -65,8 +75,8 @@ fn exhaustive_exploration_of_the_flush_race_is_clean_and_stable() {
         ..ExploreOpts::default()
     });
     assert!(full.violation.is_none(), "{}", full.summary());
-    assert_eq!(full.stats.schedules, 6, "{}", full.summary());
-    assert_eq!(full.stats.distinct_states, 4, "{}", full.summary());
+    assert_eq!(full.stats.schedules, 26, "{}", full.summary());
+    assert_eq!(full.stats.distinct_states, 15, "{}", full.summary());
 }
 
 /// Satellite 2, first half: the seeded mutation survives the same
