@@ -18,10 +18,7 @@ pub mod scenarios;
 pub use artifacts::{
     artifact_path, artifacts_dir, record_requested, save_run_artifacts, sim_config,
 };
-pub use observe::{
-    backend_requested, flag_value, init_observability, introspect_requested, observe_live,
-    observe_run,
-};
+pub use observe::{init_observability, observe_run};
 pub use report::{
     assert_monitor_clean, metrics_json, print_metrics, print_metrics_snapshot, write_bench_json,
     Table,

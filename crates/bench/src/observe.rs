@@ -1,5 +1,5 @@
 //! Live-introspection and black-box wiring shared by every `exp_*`
-//! binary and the threaded example.
+//! binary.
 //!
 //! Call [`init_observability`] once at the top of `main`: it installs the
 //! black-box panic hook and, when the binary was invoked with
@@ -21,7 +21,7 @@
 
 use std::sync::OnceLock;
 
-use vs_net::{Actor, BackendKind, Sim, SimDuration};
+use vs_net::{Actor, Sim, SimDuration};
 use vs_obs::{blackbox, IntrospectServer, Obs};
 
 /// How often the simulator publishes virtual time to the metrics, in
@@ -30,7 +30,7 @@ use vs_obs::{blackbox, IntrospectServer, Obs};
 const POLL_EVERY: SimDuration = SimDuration::from_millis(10);
 
 /// The value of a `--flag value` or `--flag=value` argument, if present.
-pub fn flag_value(flag: &str) -> Option<String> {
+fn flag_value(flag: &str) -> Option<String> {
     let mut args = std::env::args().skip(1);
     let prefix = format!("{flag}=");
     while let Some(a) = args.next() {
@@ -45,39 +45,8 @@ pub fn flag_value(flag: &str) -> Option<String> {
 }
 
 /// The address passed via `--introspect <addr>`, if any.
-pub fn introspect_requested() -> Option<String> {
+fn introspect_requested() -> Option<String> {
     flag_value("--introspect")
-}
-
-/// The transport selected via `--backend sim|threaded|socket`, or
-/// `default` when the flag is absent. Exits with usage on an unknown
-/// value — a typo must not silently fall back to a different backend's
-/// numbers.
-pub fn backend_requested(default: BackendKind) -> BackendKind {
-    match flag_value("--backend") {
-        None => default,
-        Some(v) => v.parse().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }),
-    }
-}
-
-/// Wires a live (threaded or socket) backend's observability handle into
-/// the introspection plane: the black-box recorder and — with
-/// `--introspect` — the server now answer for this run. The live
-/// transports publish `time.now_us` from wall time themselves, so unlike
-/// [`observe_run`] no poll hook is needed.
-pub fn observe_live(experiment: &str, label: &str, obs: &Obs) {
-    let stem = if label.is_empty() {
-        experiment.to_string()
-    } else {
-        format!("{experiment}_{label}")
-    };
-    blackbox::attach(obs, &stem);
-    if let Some(server) = server() {
-        server.attach(obs.clone());
-    }
 }
 
 fn server() -> Option<&'static IntrospectServer> {

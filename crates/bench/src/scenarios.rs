@@ -8,7 +8,7 @@
 //! enabled on every builder — drivers should end their run with
 //! [`crate::assert_monitor_clean`].
 
-use vs_apps::{KvStore, KvStoreApp, ObjectConfig, ReplicatedFile, ReplicatedFileApp};
+use vs_apps::{ObjectConfig, ReplicatedFile, ReplicatedFileApp};
 use vs_evs::{EvsConfig, EvsEndpoint};
 use vs_net::{ProcessId, Sim, SimDuration};
 
@@ -42,29 +42,6 @@ pub fn file_group(seed: u64, n: usize, config: ObjectConfig) -> (Sim<ReplicatedF
     }
     let obs = sim.obs().clone();
     wire_contacts(&mut sim, &pids, move |o: &mut ReplicatedFile, all| {
-        o.set_contacts(all.iter().copied());
-        o.set_obs(obs.clone());
-    });
-    sim.run_for(SimDuration::from_secs(2));
-    (sim, pids)
-}
-
-/// Spawns a weak-consistency KV group of `n`.
-pub fn kv_group(seed: u64, n: usize) -> (Sim<KvStore>, Vec<ProcessId>) {
-    let mut sim: Sim<KvStore> = Sim::new(seed, crate::sim_config());
-    let mut pids = Vec::new();
-    for _ in 0..n {
-        let site = sim.alloc_site();
-        pids.push(sim.spawn_with(site, |pid| {
-            KvStore::new(
-                pid,
-                KvStoreApp::new(),
-                ObjectConfig { universe: n, ..ObjectConfig::default() },
-            )
-        }));
-    }
-    let obs = sim.obs().clone();
-    wire_contacts(&mut sim, &pids, move |o: &mut KvStore, all| {
         o.set_contacts(all.iter().copied());
         o.set_obs(obs.clone());
     });

@@ -58,7 +58,6 @@
 #![warn(missing_docs)]
 
 mod actor;
-pub mod backend;
 mod fault;
 mod id;
 mod link;
@@ -76,7 +75,6 @@ mod topology;
 pub mod wire;
 
 pub use actor::{Actor, Context, TimerId, TimerKind};
-pub use backend::{make_backend, BackendKind, NetBackend};
 pub use fault::{FaultOp, FaultScript, ScriptParseError};
 pub use id::{ProcessId, SiteId};
 pub use link::{DelayModel, LinkConfig};

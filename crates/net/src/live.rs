@@ -36,7 +36,6 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use vs_obs::{DropReason, EventKind, Obs, ObsState};
 
 use crate::actor::{Actor, Context, TimerId, TimerKind};
-use crate::backend::BackendKind;
 use crate::id::{ProcessId, SiteId};
 use crate::rng::DetRng;
 use crate::schedule::RecordUnsupported;
@@ -84,8 +83,8 @@ pub(crate) struct Hub<M> {
 /// [`NoUplink`](crate::threaded::NoUplink) keeps the provided methods,
 /// [`TcpUplink`](crate::socket::TcpUplink) replaces them.
 pub trait Uplink<M>: Send + 'static {
-    /// The `--backend` spelling of a node with this uplink.
-    const KIND: BackendKind;
+    /// What a node with this uplink calls itself (`threaded`, `socket`).
+    const NAME: &'static str;
     /// What the handle keeps of the uplink's receive half until shutdown.
     type Ingress: Send;
 
@@ -169,7 +168,7 @@ where
     /// [`SimConfig::record`](crate::SimConfig::record) to get a replayable
     /// [`ScheduleLog`](crate::ScheduleLog).
     pub fn enable_record(&mut self) -> Result<(), RecordUnsupported> {
-        Err(RecordUnsupported::for_backend(U::KIND.as_str()))
+        Err(RecordUnsupported::for_backend(U::NAME))
     }
 
     /// Spawns an actor on its own thread under the next free local
@@ -262,7 +261,7 @@ where
 impl<A: Actor, U: Uplink<A::Msg>> std::fmt::Debug for LiveNet<A, U> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LiveNet")
-            .field("backend", &U::KIND)
+            .field("backend", &U::NAME)
             .field("processes", &self.procs.len())
             .finish()
     }
@@ -514,12 +513,12 @@ pub(crate) fn deliver_batches<M>(obs: &Obs, inboxes: &Inboxes<M>, batches: &mut 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{make_backend, NetBackend};
+    use crate::socket::SocketNet;
+    use crate::threaded::ThreadedNet;
     use crate::time::SimDuration;
 
-    /// The two live kinds: every test below runs the same scenario on both,
-    /// through the portable driver interface.
-    const LIVE: [BackendKind; 2] = [BackendKind::Threaded, BackendKind::Socket];
+    // Every scenario below is generic over the uplink and runs on both live
+    // kinds, through the host's own verbs.
 
     struct Echo;
     impl Actor for Echo {
@@ -538,64 +537,56 @@ mod tests {
         }
     }
 
-    /// Runs `net` until it has produced `n` outputs or `timeout` passes.
-    fn collect<A: Actor>(
-        net: &mut dyn NetBackend<A>,
-        n: usize,
-        timeout: Duration,
-    ) -> Vec<(ProcessId, A::Output)> {
-        let deadline = Instant::now() + timeout;
-        let mut outs = Vec::new();
-        while outs.len() < n && Instant::now() < deadline {
-            outs.extend(net.run(Duration::from_millis(10)));
-        }
-        outs
-    }
-
     #[test]
     fn messages_round_trip_between_actor_threads() {
-        for kind in LIVE {
-            let mut net = make_backend::<Echo>(kind, 42).unwrap();
-            let a = net.spawn_actor(Box::new(|_| Echo));
-            let b = net.spawn_actor(Box::new(|_| Echo));
+        fn scenario<U: Uplink<u32>>(mut net: LiveNet<Echo, U>) {
+            let kind = U::NAME;
+            let a = net.spawn_with(|_| Echo);
+            let b = net.spawn_with(|_| Echo);
             net.post(a, b, 3);
-            let outs = collect(&mut *net, 4, Duration::from_secs(10));
+            let outs = net.wait_outputs(4, Duration::from_secs(10));
             assert_eq!(outs.len(), 4, "{kind}: 3,2,1,0 bounce between a and b");
             let snap = net.obs().metrics_snapshot();
             assert!(snap.histogram("net.rx_batch_msgs").is_some(), "{kind}: batches are measured");
             net.shutdown();
         }
+        scenario(ThreadedNet::new(42));
+        scenario(SocketNet::new(42).unwrap());
     }
 
     #[test]
     fn partition_blocks_and_heal_restores() {
-        for kind in LIVE {
-            let mut net = make_backend::<Echo>(kind, 43).unwrap();
-            let a = net.spawn_actor(Box::new(|_| Echo));
-            let b = net.spawn_actor(Box::new(|_| Echo));
+        fn scenario<U: Uplink<u32>>(mut net: LiveNet<Echo, U>) {
+            let kind = U::NAME;
+            let a = net.spawn_with(|_| Echo);
+            let b = net.spawn_with(|_| Echo);
             net.partition(&[vec![a], vec![b]]);
             net.post(a, b, 0);
-            let outs = net.run(Duration::from_millis(300));
+            let outs = net.wait_outputs(usize::MAX, Duration::from_millis(300));
             assert!(outs.is_empty(), "{kind}: partitioned message must not arrive");
             net.heal();
             net.post(a, b, 0);
-            assert_eq!(collect(&mut *net, 1, Duration::from_secs(10)).len(), 1, "{kind}");
+            assert_eq!(net.wait_outputs(1, Duration::from_secs(10)).len(), 1, "{kind}");
             net.shutdown();
         }
+        scenario(ThreadedNet::new(43));
+        scenario(SocketNet::new(43).unwrap());
     }
 
     #[test]
     fn crash_silences_a_process() {
-        for kind in LIVE {
-            let mut net = make_backend::<Echo>(kind, 44).unwrap();
-            let a = net.spawn_actor(Box::new(|_| Echo));
-            let b = net.spawn_actor(Box::new(|_| Echo));
+        fn scenario<U: Uplink<u32>>(mut net: LiveNet<Echo, U>) {
+            let a = net.spawn_with(|_| Echo);
+            let b = net.spawn_with(|_| Echo);
             net.crash(b);
             std::thread::sleep(Duration::from_millis(100));
             net.post(a, b, 5);
-            assert!(net.run(Duration::from_millis(300)).is_empty(), "{kind}");
+            let outs = net.wait_outputs(usize::MAX, Duration::from_millis(300));
+            assert!(outs.is_empty(), "{}", U::NAME);
             net.shutdown();
         }
+        scenario(ThreadedNet::new(44));
+        scenario(SocketNet::new(44).unwrap());
     }
 
     struct Tick;
@@ -618,25 +609,27 @@ mod tests {
 
     #[test]
     fn wall_clock_timers_fire() {
-        for kind in LIVE {
-            let mut net = make_backend::<Tick>(kind, 45).unwrap();
-            net.spawn_actor(Box::new(|_| Tick));
-            assert_eq!(collect(&mut *net, 1, Duration::from_secs(10)).len(), 1, "{kind}");
+        fn scenario<U: Uplink<()>>(mut net: LiveNet<Tick, U>) {
+            net.spawn_with(|_| Tick);
+            assert_eq!(net.wait_outputs(1, Duration::from_secs(10)).len(), 1, "{}", U::NAME);
             net.shutdown();
         }
+        scenario(ThreadedNet::new(45));
+        scenario(SocketNet::new(45).unwrap());
     }
 
     /// The refusal carries each live backend's name through the shared
     /// error type.
     #[test]
     fn enable_record_refuses_with_backend_name() {
-        for kind in LIVE {
-            let mut net = make_backend::<Echo>(kind, 47).unwrap();
+        fn scenario<U: Uplink<u32>>(mut net: LiveNet<Echo, U>, name: &str) {
             let err = net.enable_record().unwrap_err();
-            assert_eq!(err.backend(), kind.as_str());
-            assert!(err.to_string().contains(&format!("{kind} transport")));
+            assert_eq!(err.backend(), name);
+            assert!(err.to_string().contains(&format!("{name} transport")));
             net.shutdown();
         }
+        scenario(ThreadedNet::new(47), "threaded");
+        scenario(SocketNet::new(47).unwrap(), "socket");
     }
 
     /// Every send is accounted for exactly once: delivered, or dropped for
@@ -652,14 +645,14 @@ mod tests {
                 ctx.output(msg);
             }
         }
-        for kind in LIVE {
-            let mut net = make_backend::<Sink>(kind, 46).unwrap();
-            let a = net.spawn_actor(Box::new(|_| Sink));
-            let b = net.spawn_actor(Box::new(|_| Sink));
-            let c = net.spawn_actor(Box::new(|_| Sink));
-            let obs = net.obs();
+        fn scenario<U: Uplink<u32>>(mut net: LiveNet<Sink, U>) {
+            let kind = U::NAME;
+            let a = net.spawn_with(|_| Sink);
+            let b = net.spawn_with(|_| Sink);
+            let c = net.spawn_with(|_| Sink);
+            let obs = net.obs().clone();
             net.post(a, b, 1);
-            assert_eq!(collect(&mut *net, 1, Duration::from_secs(10)), vec![(b, 1)], "{kind}");
+            assert_eq!(net.wait_outputs(1, Duration::from_secs(10)), vec![(b, 1)], "{kind}");
             // Partition and crash take effect at once, not in order with the
             // posts, so each step waits for its counter.
             let deadline = Instant::now() + Duration::from_secs(10);
@@ -707,6 +700,8 @@ mod tests {
             assert_eq!(snap.counter("net.dropped_partition"), 1, "{kind}");
             net.shutdown();
         }
+        scenario(ThreadedNet::new(46));
+        scenario(SocketNet::new(46).unwrap());
     }
 
     /// A zero-delay timer set while handling the first message of a batch

@@ -89,7 +89,6 @@ use std::time::{Duration, Instant};
 use vs_obs::Obs;
 
 use crate::actor::Actor;
-use crate::backend::BackendKind;
 use crate::id::ProcessId;
 use crate::live::{deliver_batches, unix_now_us, Batches, Hub, Inboxes, LiveNet, Uplink};
 use crate::topology::Topology;
@@ -316,7 +315,7 @@ where
 }
 
 impl<M: WireCodec> Uplink<M> for TcpUplink {
-    const KIND: BackendKind = BackendKind::Socket;
+    const NAME: &'static str = "socket";
     type Ingress = TcpIngress;
 
     fn add_route(&mut self, pid: ProcessId, addr: SocketAddr) {

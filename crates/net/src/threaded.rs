@@ -45,7 +45,6 @@ use std::sync::{Arc, RwLock};
 use vs_obs::Obs;
 
 use crate::actor::Actor;
-use crate::backend::BackendKind;
 use crate::id::ProcessId;
 use crate::live::{Hub, LiveNet, Uplink};
 use crate::topology::Topology;
@@ -55,7 +54,7 @@ use crate::topology::Topology;
 pub struct NoUplink;
 
 impl<M> Uplink<M> for NoUplink {
-    const KIND: BackendKind = BackendKind::Threaded;
+    const NAME: &'static str = "threaded";
     type Ingress = ();
 
     fn forward(&mut self, _: ProcessId, _: ProcessId, _: u64, _: &M, _: &Obs) -> bool {

@@ -253,13 +253,6 @@ impl GateReport {
 /// count and mean; other histograms are exact. Metrics that appear only
 /// in the fresh run are notes, not failures (new instrumentation is
 /// fine); metrics that *disappear* are failures.
-///
-/// `tp.*` metrics are the exception: they come from the live socket
-/// fleet — wall-clock numbers from real sockets and schedulers — where
-/// exact equality is meaningless. They gate **directionally**: a `*_us`
-/// gauge may not rise more than `tolerance` above baseline (latency
-/// ceiling), any other `tp.` gauge may not fall more than `tolerance`
-/// below it (throughput floor). Improvements are notes, never failures.
 pub fn bench_gate(baseline: &MetricsDoc, fresh: &MetricsDoc, tolerance: f64) -> GateReport {
     let mut r = GateReport::default();
     if baseline.experiment != fresh.experiment {
@@ -291,28 +284,7 @@ pub fn bench_gate(baseline: &MetricsDoc, fresh: &MetricsDoc, tolerance: f64) -> 
             }
             Some(&vf) => vf,
         };
-        if k.starts_with("tp.") {
-            let (b, f) = (vb as f64, vf as f64);
-            let lower_is_better = k.ends_with("_us");
-            let regressed = if lower_is_better {
-                f > b * (1.0 + tolerance)
-            } else {
-                f < b * (1.0 - tolerance)
-            };
-            if regressed {
-                r.failures.push(format!(
-                    "gauge {k}: {vb} -> {vf} ({}) beyond the live {} bound (±{:.0}%)",
-                    pct_delta(b, f),
-                    if lower_is_better { "latency" } else { "throughput" },
-                    tolerance * 100.0
-                ));
-            } else if vf != vb {
-                r.notes.push(format!(
-                    "gauge {k}: {vb} -> {vf} ({}) within live tolerance",
-                    pct_delta(b, f)
-                ));
-            }
-        } else if vf != vb {
+        if vf != vb {
             r.failures.push(format!(
                 "gauge {k}: {vb} -> {vf} ({})",
                 pct_delta(vb as f64, vf as f64)
@@ -484,35 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn live_tp_gauges_gate_directionally() {
-        let live = r#"{"experiment":"exp_throughput","metrics":{"counters":{},"gauges":{"tp.msgs_per_sec":50000,"tp.delivery_p99_us":2000},"histograms":{}}}"#;
-        let tol = 0.25;
-        // Faster and cheaper: both moves in the good direction pass, as notes.
-        let better = live
-            .replace("\"tp.msgs_per_sec\":50000", "\"tp.msgs_per_sec\":90000")
-            .replace("\"tp.delivery_p99_us\":2000", "\"tp.delivery_p99_us\":500");
-        let r = bench_gate(&doc(live), &doc(&better), tol);
-        assert!(r.passed(), "failures: {:?}", r.failures);
-        assert_eq!(r.notes.len(), 2, "improvements are noted: {:?}", r.notes);
-        // Throughput floor: -20% passes, -50% fails.
-        let slower = live.replace("\"tp.msgs_per_sec\":50000", "\"tp.msgs_per_sec\":40000");
-        assert!(bench_gate(&doc(live), &doc(&slower), tol).passed());
-        let collapsed = live.replace("\"tp.msgs_per_sec\":50000", "\"tp.msgs_per_sec\":25000");
-        let r = bench_gate(&doc(live), &doc(&collapsed), tol);
-        assert!(r.failures.iter().any(|f| f.contains("tp.msgs_per_sec") && f.contains("throughput")));
-        // Latency ceiling: +20% passes, +50% fails.
-        let laggier = live.replace("\"tp.delivery_p99_us\":2000", "\"tp.delivery_p99_us\":2400");
-        assert!(bench_gate(&doc(live), &doc(&laggier), tol).passed());
-        let blowup = live.replace("\"tp.delivery_p99_us\":2000", "\"tp.delivery_p99_us\":3000");
-        let r = bench_gate(&doc(live), &doc(&blowup), tol);
-        assert!(r.failures.iter().any(|f| f.contains("tp.delivery_p99_us") && f.contains("latency")));
-        // Disappearing live gauges still fail like any other metric.
-        let gone = live.replace("\"tp.msgs_per_sec\":50000,", "");
-        let r = bench_gate(&doc(live), &doc(&gone), tol);
-        assert!(r.failures.iter().any(|f| f.contains("tp.msgs_per_sec") && f.contains("missing")));
-    }
-
-    #[test]
     fn us_histograms_get_tolerance_but_not_a_free_pass() {
         // +20% mean: within ±25%, passes with a note.
         let drift = BASE.replace("\"mean\":100.0", "\"mean\":120.0");
@@ -539,6 +482,14 @@ mod tests {
         let r = bench_gate(&doc(&missing), &doc(BASE), DEFAULT_US_TOLERANCE);
         assert!(r.passed());
         assert!(r.notes.iter().any(|n| n.contains("gcs.mcasts")));
+
+        // Gauges follow the same two rules: exact, and present.
+        let deeper = BASE.replace("\"g.depth\":4", "\"g.depth\":5");
+        let r = bench_gate(&doc(BASE), &doc(&deeper), DEFAULT_US_TOLERANCE);
+        assert!(r.failures.iter().any(|f| f.contains("g.depth") && f.contains("4 -> 5")));
+        let gone = BASE.replace("\"g.depth\":4", "");
+        let r = bench_gate(&doc(BASE), &doc(&gone), DEFAULT_US_TOLERANCE);
+        assert!(r.failures.iter().any(|f| f.contains("g.depth") && f.contains("missing")));
     }
 
     #[test]

@@ -45,7 +45,7 @@ USAGE:
   vstool metrics-diff <a.json|stdout.txt> <b.json|stdout.txt>
   vstool bench-gate <baseline.json> <fresh.json|stdout.txt> [--tolerance FRAC]
                     [--update]
-  vstool record --seed N --out <log.vsl> [--backend sim|threaded|socket]
+  vstool record --seed N --out <log.vsl>
   vstool replay <log.vsl> [--seed N] [--scenario sweep|flush] [--mutate]
   vstool shrink --class <duplicate-view-install|causal-cut|invalid-structure|
                          partition-drop> --seed N [--script <file>] [--out <file>]
@@ -242,18 +242,8 @@ fn cmd_record(mut args: Vec<String>) -> Result<ExitCode, String> {
         &take_opt(&mut args, "--seed")?.ok_or("record: --seed is required")?,
     )?;
     let out = take_opt(&mut args, "--out")?.ok_or("record: --out is required")?;
-    let backend = match take_opt(&mut args, "--backend")? {
-        None => vs_net::BackendKind::Sim,
-        Some(v) => v.parse().map_err(|e| format!("record: {e}"))?,
-    };
     if !args.is_empty() {
         return Err(format!("record: unexpected arguments {args:?}"));
-    }
-    // The live transports refuse deterministic recording; surface their
-    // shared refusal verbatim so every caller sees the same wording.
-    if backend != vs_net::BackendKind::Sim {
-        let err = vs_net::RecordUnsupported::for_backend(backend.as_str());
-        return Err(format!("record: {err}"));
     }
     let run = run_gcs_sweep(seed, RunMode::Record);
     let log = run.log.expect("record mode keeps the log");
