@@ -238,7 +238,9 @@ impl Histogram {
 /// A named collection of counters, gauges and histograms.
 ///
 /// Names are dotted paths (`net.sent`, `gcs.flush.rounds`); creation is
-/// implicit on first touch so instrumentation sites stay one-liners.
+/// implicit on first touch so instrumentation sites stay one-liners. Only
+/// that first touch copies the name into a `String`; updating an existing
+/// metric looks it up and allocates nothing.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
@@ -259,7 +261,12 @@ impl MetricsRegistry {
 
     /// Adds `delta` to counter `name`.
     pub fn add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+        match self.counters.get_mut(name) {
+            Some(c) => *c += delta,
+            None => {
+                self.counters.insert(name.to_string(), delta);
+            }
+        }
     }
 
     /// Current value of counter `name` (zero if never touched).
@@ -269,7 +276,12 @@ impl MetricsRegistry {
 
     /// Sets gauge `name` to `value`.
     pub fn set_gauge(&mut self, name: &str, value: i64) {
-        self.gauges.insert(name.to_string(), value);
+        match self.gauges.get_mut(name) {
+            Some(g) => *g = value,
+            None => {
+                self.gauges.insert(name.to_string(), value);
+            }
+        }
     }
 
     /// Current value of gauge `name`, if ever set.
@@ -280,19 +292,24 @@ impl MetricsRegistry {
     /// Records `value` into histogram `name`, creating it with the default
     /// latency buckets on first use.
     pub fn observe(&mut self, name: &str, value: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(Histogram::latency)
-            .observe(value);
+        self.observe_or_create(name, value, Histogram::latency);
     }
 
     /// Records `value` into histogram `name`, creating it with the given
     /// bucket bounds on first use.
     pub fn observe_with_bounds(&mut self, name: &str, bounds: &[u64], value: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::with_bounds(bounds))
-            .observe(value);
+        self.observe_or_create(name, value, || Histogram::with_bounds(bounds));
+    }
+
+    fn observe_or_create(&mut self, name: &str, value: u64, create: impl FnOnce() -> Histogram) {
+        match self.histograms.get_mut(name) {
+            Some(h) => h.observe(value),
+            None => {
+                let mut h = create();
+                h.observe(value);
+                self.histograms.insert(name.to_string(), h);
+            }
+        }
     }
 
     /// The histogram registered under `name`, if any.

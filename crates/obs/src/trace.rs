@@ -454,19 +454,27 @@ impl Journal {
         let clock = self.clocks.entry(process).or_default();
         clock.tick(process);
         let ring = self.rings.entry(process).or_default();
-        if ring.len() == self.capacity_per_process {
-            ring.pop_front();
-            self.evicted += 1;
-        }
         // The event (and its vector clock) is built once, in the ring; the
-        // monitor reads it there.
-        ring.push_back(TraceEvent {
-            seq,
-            at_us,
-            process,
-            clock: clock.clone(),
-            kind,
-        });
+        // monitor reads it there. A full ring overwrites its evicted slot in
+        // place, reusing the slot's clock buffer, so steady-state recording
+        // allocates nothing.
+        if ring.len() == self.capacity_per_process {
+            let mut slot = ring.pop_front().expect("a full ring is non-empty");
+            slot.seq = seq;
+            slot.at_us = at_us;
+            slot.clock.clone_from(clock);
+            slot.kind = kind;
+            ring.push_back(slot);
+            self.evicted += 1;
+        } else {
+            ring.push_back(TraceEvent {
+                seq,
+                at_us,
+                process,
+                clock: clock.clone(),
+                kind,
+            });
+        }
         if let Some(mut monitor) = self.monitor.take() {
             let event = ring.back().expect("just pushed");
             if let Some(violation) = monitor.observe(event) {
@@ -814,20 +822,59 @@ mod tests {
 
     #[test]
     fn ring_evicts_oldest_per_process() {
-        let mut j = Journal::with_capacity(3);
-        for i in 0..5 {
-            j.record(7, i * 10, EventKind::StabilityAdvance { frontier: i });
+        // The second input runs the monitor, which must see each new event
+        // in the reused slot, not what the slot held before.
+        for monitored in [false, true] {
+            let mut j = Journal::with_capacity(3);
+            if monitored {
+                j.enable_monitor();
+            }
+            for i in 0..5 {
+                j.record(7, i * 10, EventKind::StabilityAdvance { frontier: i });
+            }
+            let tail: Vec<u64> = j
+                .events_for(7)
+                .map(|e| match e.kind {
+                    EventKind::StabilityAdvance { frontier } => frontier,
+                    _ => unreachable!(),
+                })
+                .collect();
+            assert_eq!(tail, vec![2, 3, 4]);
+            assert_eq!(j.evicted(), 2);
+            assert_eq!(j.recorded(), 5);
+
+            // Reuse two more slots with a wider clock and another kind; the
+            // second install of one view is a monitor violation.
+            let mut stamp = VClock::new();
+            for p in 1..=4 {
+                stamp.set(p, 10 * p);
+            }
+            j.merge_clock(7, &stamp);
+            let view = EventKind::GroupView { epoch: 2, coord: 7, members: 1 };
+            j.record(7, 60, view.clone());
+            j.record(7, 70, view.clone());
+            let newest = TraceEvent {
+                seq: 6,
+                at_us: 70,
+                process: 7,
+                clock: j.clock_of(7),
+                kind: view,
+            };
+            assert_eq!(newest.clock.components().count(), 5);
+            assert_eq!(newest.clock.get(7), 7);
+            assert_eq!(j.events_for(7).last(), Some(&newest));
+            assert_eq!(j.evicted(), 4);
+            let seqs: Vec<u64> = j.tail(7, 5).iter().map(|e| e.seq).collect();
+            assert_eq!(seqs, vec![4, 5, 6]);
+            let reports = j.monitor_reports();
+            if monitored {
+                assert_eq!(reports.len(), 1);
+                assert_eq!(reports[0].event, newest);
+                assert_eq!(reports[0].slice.last(), Some(&newest));
+            } else {
+                assert!(reports.is_empty());
+            }
         }
-        let tail: Vec<u64> = j
-            .events_for(7)
-            .map(|e| match e.kind {
-                EventKind::StabilityAdvance { frontier } => frontier,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(tail, vec![2, 3, 4]);
-        assert_eq!(j.evicted(), 2);
-        assert_eq!(j.recorded(), 5);
     }
 
     #[test]
