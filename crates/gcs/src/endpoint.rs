@@ -539,11 +539,7 @@ impl<M: Clone + std::fmt::Debug + 'static> GcsEndpoint<M> {
             if frontier > self.told(p) {
                 self.acked.insert(p, frontier);
                 self.obs.inc("gcs.acks_sent");
-                let ack = Wire::Heartbeat {
-                    view: self.view.id(),
-                    acks: BTreeMap::from([(p, frontier)]),
-                    sent_upto: self.my_seq,
-                };
+                let ack = self.heartbeat(BTreeMap::from([(p, frontier)]));
                 self.post(p, ack, ctx);
             }
         }
@@ -833,19 +829,28 @@ impl<M: Clone + std::fmt::Debug + 'static> GcsEndpoint<M> {
             .collect()
     }
 
-    fn on_tick(&mut self, ctx: &mut Ctx<'_, M>) {
-        let now = ctx.now();
-        // 1. Heartbeats (liveness beacon + the full-vector stability round).
-        //    A peer that recently received any traffic from us — data with
-        //    piggybacked acks, agreement messages, a direct ack or an
-        //    earlier beacon — already holds fresh liveness evidence, so its
-        //    beacon is suppressed; full-vector heartbeats remain the way
-        //    third parties learn a frontier nobody multicast after, and heal
-        //    piggyback deltas and direct acks lost in flight.
-        //    A beacon carrying *news* (the ack vector moved since it was
-        //    last advertised) is never suppressed: receivers' acks are what
-        //    advance the stability cut — and what uniform delivery waits
-        //    on — so fresh acks must not idle out a beacon period.
+    /// A heartbeat of the installed view carrying `acks`.
+    fn heartbeat(&self, acks: BTreeMap<ProcessId, u64>) -> Wire<M> {
+        Wire::Heartbeat {
+            view: self.view.id(),
+            acks,
+            sent_upto: self.my_seq,
+        }
+    }
+
+    /// Liveness beacon + the full-vector stability round, to every
+    /// heartbeat target that needs one.
+    fn send_heartbeats(&mut self, now: SimTime, ctx: &mut Ctx<'_, M>) {
+        // A peer that recently received any traffic from us — data with
+        // piggybacked acks, agreement messages, a direct ack or an earlier
+        // beacon — already holds fresh liveness evidence, so its beacon is
+        // suppressed; full-vector heartbeats remain the way third parties
+        // learn a frontier nobody multicast after, and heal piggyback
+        // deltas and direct acks lost in flight.
+        // A beacon carrying *news* (the ack vector moved since it was last
+        // advertised) is never suppressed: receivers' acks are what advance
+        // the stability cut — and what uniform delivery waits on — so fresh
+        // acks must not idle out a beacon period.
         let acks = self.acks.ack_vector();
         let fresh_acks = acks != self.advertised;
         let needed: Vec<ProcessId> = self
@@ -862,16 +867,18 @@ impl<M: Clone + std::fmt::Debug + 'static> GcsEndpoint<M> {
             .collect();
         if !needed.is_empty() {
             self.advertised = acks.clone();
-            let hb = Wire::Heartbeat {
-                view: self.view.id(),
-                acks,
-                sent_upto: self.my_seq,
-            };
+            let hb = self.heartbeat(acks);
             for p in needed {
                 self.post(p, hb.clone(), ctx);
             }
         }
-        // 2. Membership estimation.
+    }
+
+    /// Membership estimation: feeds the trusted set to the estimator and
+    /// starts an agreement if this endpoint coordinates the change. Runs on
+    /// every tick, and at once when a message makes its sender newly
+    /// trusted.
+    fn estimate_membership(&mut self, now: SimTime, ctx: &mut Ctx<'_, M>) {
         self.fd.poll_transitions(now, &self.obs);
         let trusted = self.fd.trusted(now);
         // Views with identical membership but different ids look settled to
@@ -880,30 +887,43 @@ impl<M: Clone + std::fmt::Debug + 'static> GcsEndpoint<M> {
         // from whoever coordinates the trusted set — otherwise the group
         // wedges in incompatible views it can never reconcile.
         let debounce = self.config.estimator.debounce;
+        let first_diverged = self.diverged.values().min().copied();
         let stuck = !self.agreement.is_engaged()
             && !self.estimator.is_in_progress()
             && trusted.iter().next() == Some(&self.me)
-            && self
-                .diverged
-                .values()
-                .any(|&since| now.saturating_since(since) >= debounce);
+            && first_diverged.is_some_and(|since| now.saturating_since(since) >= debounce);
         if stuck {
             self.diverged.clear();
-            self.agreement.note_detection(now);
+            self.agreement.note_detection(first_diverged.unwrap_or(now));
             self.estimator.agreement_started();
             let actions = self.agreement.start(trusted.clone(), now);
             self.process_agreement(actions, ctx);
-        } else if let Some(candidate) = self.estimator.observe(trusted, now) {
-            // Anchor the `detect` span of the coming lineage at the moment
-            // the estimator settles on a changed membership — also at
-            // non-coordinators, whose engagement only starts at Prepare.
-            self.agreement.note_detection(now);
+            return;
+        }
+        // Every process this endpoint knows of is trusted: the candidate
+        // cannot grow, so the estimator need not wait for it to settle.
+        let complete = self.heartbeat_targets().is_subset(&trusted);
+        if let Some(candidate) = self.estimator.observe(trusted, complete, now) {
+            // Anchor the `detect` span of the coming lineage at the first
+            // evidence — the instant the trusted set left the installed
+            // view — also at non-coordinators, whose engagement only starts
+            // at Prepare.
+            self.agreement
+                .note_detection(self.estimator.diverged_since().unwrap_or(now));
             if candidate.iter().next() == Some(&self.me) {
                 self.estimator.agreement_started();
                 let actions = self.agreement.start(candidate, now);
                 self.process_agreement(actions, ctx);
             }
         }
+    }
+
+    fn on_tick(&mut self, ctx: &mut Ctx<'_, M>) {
+        let now = ctx.now();
+        // 1. Heartbeats.
+        self.send_heartbeats(now, ctx);
+        // 2. Membership estimation.
+        self.estimate_membership(now, ctx);
         // 3. Agreement timeouts.
         let actions = self.agreement.on_tick(now);
         self.process_agreement(actions, ctx);
@@ -1100,6 +1120,9 @@ impl<M: Clone + std::fmt::Debug + 'static> Actor for GcsEndpoint<M> {
                 annotation: Bytes::new(),
             }],
         });
+        // Beacon at once rather than on the first tick: whoever hears it
+        // trusts this process one hop from now.
+        self.send_heartbeats(ctx.now(), ctx);
         ctx.set_timer(self.config.detector.heartbeat_every, TICK);
     }
 
@@ -1107,14 +1130,18 @@ impl<M: Clone + std::fmt::Debug + 'static> Actor for GcsEndpoint<M> {
         if self.left {
             return;
         }
-        self.fd.heard_from(from, ctx.now());
+        // A sender that has just become trusted is positive evidence of a
+        // membership change: it gets one beacon back, so it trusts this
+        // process a hop later instead of a tick later, and the estimator
+        // looks at once. A goodbye is evidence of the opposite.
+        let newly_trusted = self.fd.heard_from(from, ctx.now()) && !matches!(msg, Wire::Goodbye);
         match msg {
             Wire::Heartbeat { view, acks, sent_upto } => {
                 if self.view.contains(from) {
                     // A view member beaconing a different view id has moved
                     // on without us (or we without it): note when the
                     // divergence started so the tick can force a merge if
-                    // it persists (see `on_tick` step 2).
+                    // it persists (see `estimate_membership`).
                     if view == self.view.id() {
                         self.diverged.remove(&from);
                     } else {
@@ -1172,6 +1199,11 @@ impl<M: Clone + std::fmt::Debug + 'static> Actor for GcsEndpoint<M> {
             Wire::Goodbye => {
                 self.fd.forget(from);
             }
+        }
+        if newly_trusted {
+            let hb = self.heartbeat(self.acks.ack_vector());
+            self.post(from, hb, ctx);
+            self.estimate_membership(ctx.now(), ctx);
         }
     }
 

@@ -88,15 +88,20 @@ impl FailureDetector {
     }
 
     /// Records evidence of life from `p` at instant `now`. Any message
-    /// counts, not only explicit heartbeats.
-    pub fn heard_from(&mut self, p: ProcessId, now: SimTime) {
+    /// counts, not only explicit heartbeats. Returns whether `p` has just
+    /// become trusted: it was never heard from, or silent for at least the
+    /// suspicion timeout. That is *positive* evidence of a membership
+    /// change, which the caller may act on at once.
+    pub fn heard_from(&mut self, p: ProcessId, now: SimTime) -> bool {
         if p == self.me {
-            return;
+            return false;
         }
+        let newly = !self.last_heard.contains_key(&p) || self.suspects(p, now);
         let entry = self.last_heard.entry(p).or_insert(now);
         if *entry < now {
             *entry = now;
         }
+        newly
     }
 
     /// Records that a message (of any kind) was sent to `p` at `now`. The
@@ -217,6 +222,15 @@ mod tests {
         let fd = FailureDetector::new(pid(0), cfg());
         let t = fd.trusted(SimTime::ZERO);
         assert_eq!(t.into_iter().collect::<Vec<_>>(), vec![pid(0)]);
+    }
+
+    #[test]
+    fn heard_from_reports_who_just_became_trusted() {
+        let mut fd = FailureDetector::new(pid(0), cfg());
+        assert!(fd.heard_from(pid(1), SimTime::from_micros(0)), "never heard before");
+        assert!(!fd.heard_from(pid(1), SimTime::from_micros(10_000)), "heard 10 ms ago");
+        assert!(fd.heard_from(pid(1), SimTime::from_micros(40_000)), "silent >= suspect_after");
+        assert!(!fd.heard_from(pid(0), SimTime::from_micros(40_000)), "self");
     }
 
     #[test]

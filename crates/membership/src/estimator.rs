@@ -1,4 +1,5 @@
-//! Debounced view-change triggering.
+//! View-change triggering: at once on complete evidence, debounced
+//! otherwise.
 //!
 //! The failure detector's trusted set flickers: a merge is noticed one
 //! heartbeat at a time, a partition is noticed contact by contact. Starting
@@ -9,6 +10,13 @@
 //! debounce period before it emits a trigger. One healed partition then
 //! yields one merge trigger containing every newly reachable process — the
 //! "single view change is all that is really required" behaviour of §5.
+//!
+//! The debounce waits for the candidate to stop growing. When the trusted
+//! set already holds every process the caller knows of, it *cannot* grow,
+//! so waiting buys nothing: such a **complete** observation triggers at
+//! once. Formation and a healed partition whose every member is heard from
+//! again take that path; a suspicion (absence is the evidence), a partial
+//! merge, or a crashed process that is still known keeps the debounce.
 
 use std::collections::BTreeSet;
 
@@ -40,6 +48,9 @@ pub struct MembershipEstimator {
     config: EstimatorConfig,
     installed: BTreeSet<ProcessId>,
     pending: Option<(BTreeSet<ProcessId>, SimTime)>,
+    /// When the trusted set first left the installed view, in the current
+    /// divergence: the first evidence of the coming view change.
+    diverged_since: Option<SimTime>,
     /// While an agreement is in flight we hold further triggers.
     in_progress: bool,
 }
@@ -52,6 +63,7 @@ impl MembershipEstimator {
             config,
             installed,
             pending: None,
+            diverged_since: None,
             in_progress: false,
         }
     }
@@ -61,6 +73,7 @@ impl MembershipEstimator {
     pub fn view_installed(&mut self, members: BTreeSet<ProcessId>) {
         self.installed = members;
         self.pending = None;
+        self.diverged_since = None;
         self.in_progress = false;
     }
 
@@ -70,6 +83,7 @@ impl MembershipEstimator {
     pub fn agreement_started(&mut self) {
         self.in_progress = true;
         self.pending = None;
+        self.diverged_since = None;
     }
 
     /// Marks the in-flight agreement as abandoned (e.g. its coordinator
@@ -84,15 +98,35 @@ impl MembershipEstimator {
         self.in_progress
     }
 
+    /// When the trusted set first differed from the installed view, if it
+    /// differs now: where the `detect` phase of the coming view change
+    /// starts. Cleared once an agreement starts or the sets agree again.
+    pub fn diverged_since(&self) -> Option<SimTime> {
+        self.diverged_since
+    }
+
     /// Feeds the current trusted set. Returns a candidate membership when a
-    /// view change should be proposed now.
-    pub fn observe(&mut self, trusted: BTreeSet<ProcessId>, now: SimTime) -> Option<BTreeSet<ProcessId>> {
+    /// view change should be proposed now. `complete` says that `trusted`
+    /// holds every process the caller knows of, so the candidate cannot
+    /// grow: it is returned at once, without the debounce.
+    pub fn observe(
+        &mut self,
+        trusted: BTreeSet<ProcessId>,
+        complete: bool,
+        now: SimTime,
+    ) -> Option<BTreeSet<ProcessId>> {
         if self.in_progress {
             return None;
         }
         if trusted == self.installed {
             self.pending = None;
+            self.diverged_since = None;
             return None;
+        }
+        self.diverged_since.get_or_insert(now);
+        if complete {
+            self.pending = None;
+            return Some(trusted);
         }
         match &self.pending {
             Some((candidate, since)) if *candidate == trusted => {
@@ -141,17 +175,17 @@ mod tests {
     fn matching_membership_never_triggers() {
         let mut e = est(&[0, 1]);
         for t in 0..10 {
-            assert_eq!(e.observe(set(&[0, 1]), SimTime::from_micros(t * 10_000)), None);
+            assert_eq!(e.observe(set(&[0, 1]), false, SimTime::from_micros(t * 10_000)), None);
         }
     }
 
     #[test]
     fn stable_difference_triggers_after_debounce() {
         let mut e = est(&[0, 1]);
-        assert_eq!(e.observe(set(&[0]), SimTime::from_micros(0)), None);
-        assert_eq!(e.observe(set(&[0]), SimTime::from_micros(10_000)), None);
+        assert_eq!(e.observe(set(&[0]), false, SimTime::from_micros(0)), None);
+        assert_eq!(e.observe(set(&[0]), false, SimTime::from_micros(10_000)), None);
         assert_eq!(
-            e.observe(set(&[0]), SimTime::from_micros(20_000)),
+            e.observe(set(&[0]), false, SimTime::from_micros(20_000)),
             Some(set(&[0])),
             "20ms of stability reaches the debounce threshold"
         );
@@ -160,12 +194,12 @@ mod tests {
     #[test]
     fn flickering_membership_restarts_the_clock() {
         let mut e = est(&[0, 1]);
-        assert_eq!(e.observe(set(&[0]), SimTime::from_micros(0)), None);
-        assert_eq!(e.observe(set(&[0, 2]), SimTime::from_micros(15_000)), None);
+        assert_eq!(e.observe(set(&[0]), false, SimTime::from_micros(0)), None);
+        assert_eq!(e.observe(set(&[0, 2]), false, SimTime::from_micros(15_000)), None);
         // The earlier 15ms of stability towards {0} does not count.
-        assert_eq!(e.observe(set(&[0, 2]), SimTime::from_micros(30_000)), None);
+        assert_eq!(e.observe(set(&[0, 2]), false, SimTime::from_micros(30_000)), None);
         assert_eq!(
-            e.observe(set(&[0, 2]), SimTime::from_micros(35_000)),
+            e.observe(set(&[0, 2]), false, SimTime::from_micros(35_000)),
             Some(set(&[0, 2]))
         );
     }
@@ -173,12 +207,12 @@ mod tests {
     #[test]
     fn returning_to_installed_cancels_the_pending_trigger() {
         let mut e = est(&[0, 1]);
-        assert_eq!(e.observe(set(&[0]), SimTime::from_micros(0)), None);
-        assert_eq!(e.observe(set(&[0, 1]), SimTime::from_micros(10_000)), None);
+        assert_eq!(e.observe(set(&[0]), false, SimTime::from_micros(0)), None);
+        assert_eq!(e.observe(set(&[0, 1]), false, SimTime::from_micros(10_000)), None);
         // A fresh divergence must debounce from scratch.
-        assert_eq!(e.observe(set(&[0]), SimTime::from_micros(20_000)), None);
-        assert_eq!(e.observe(set(&[0]), SimTime::from_micros(39_000)), None);
-        assert_eq!(e.observe(set(&[0]), SimTime::from_micros(40_000)), Some(set(&[0])));
+        assert_eq!(e.observe(set(&[0]), false, SimTime::from_micros(20_000)), None);
+        assert_eq!(e.observe(set(&[0]), false, SimTime::from_micros(39_000)), None);
+        assert_eq!(e.observe(set(&[0]), false, SimTime::from_micros(40_000)), Some(set(&[0])));
     }
 
     #[test]
@@ -187,12 +221,12 @@ mod tests {
         e.agreement_started();
         assert!(e.is_in_progress());
         for t in 0..10 {
-            assert_eq!(e.observe(set(&[0]), SimTime::from_micros(t * 20_000)), None);
+            assert_eq!(e.observe(set(&[0]), false, SimTime::from_micros(t * 20_000)), None);
         }
         e.agreement_failed();
-        assert_eq!(e.observe(set(&[0]), SimTime::from_micros(300_000)), None);
+        assert_eq!(e.observe(set(&[0]), false, SimTime::from_micros(300_000)), None);
         assert_eq!(
-            e.observe(set(&[0]), SimTime::from_micros(320_000)),
+            e.observe(set(&[0]), false, SimTime::from_micros(320_000)),
             Some(set(&[0]))
         );
     }
@@ -204,18 +238,65 @@ mod tests {
         e.view_installed(set(&[0]));
         assert!(!e.is_in_progress());
         assert_eq!(e.installed(), &set(&[0]));
-        assert_eq!(e.observe(set(&[0]), SimTime::from_micros(999_000)), None);
+        assert_eq!(e.observe(set(&[0]), false, SimTime::from_micros(999_000)), None);
     }
 
     #[test]
     fn merge_surfaces_all_new_processes_in_one_trigger() {
         let mut e = est(&[0, 1]);
         // After a heal, the trusted set jumps by several processes at once.
-        assert_eq!(e.observe(set(&[0, 1, 2, 3, 4]), SimTime::from_micros(0)), None);
+        assert_eq!(e.observe(set(&[0, 1, 2, 3, 4]), false, SimTime::from_micros(0)), None);
         assert_eq!(
-            e.observe(set(&[0, 1, 2, 3, 4]), SimTime::from_micros(20_000)),
+            e.observe(set(&[0, 1, 2, 3, 4]), false, SimTime::from_micros(20_000)),
             Some(set(&[0, 1, 2, 3, 4])),
             "one trigger with every newly reachable process, per paper §5"
+        );
+    }
+
+    #[test]
+    fn a_complete_set_triggers_without_the_debounce() {
+        let mut e = est(&[0]);
+        assert_eq!(
+            e.observe(set(&[0, 1, 2]), true, SimTime::from_micros(1_000)),
+            Some(set(&[0, 1, 2]))
+        );
+        assert_eq!(e.diverged_since(), Some(SimTime::from_micros(1_000)));
+    }
+
+    #[test]
+    fn a_complete_set_waits_for_the_agreement_in_progress() {
+        let mut e = est(&[0]);
+        e.agreement_started();
+        assert_eq!(e.observe(set(&[0, 1]), true, SimTime::from_micros(1_000)), None);
+        e.agreement_failed();
+        assert_eq!(
+            e.observe(set(&[0, 1]), true, SimTime::from_micros(2_000)),
+            Some(set(&[0, 1]))
+        );
+    }
+
+    #[test]
+    fn a_complete_set_equal_to_the_view_does_nothing() {
+        let mut e = est(&[0, 1]);
+        assert_eq!(e.observe(set(&[0, 1]), true, SimTime::from_micros(1_000)), None);
+        assert_eq!(e.diverged_since(), None);
+    }
+
+    #[test]
+    fn a_complete_set_clears_the_pending_candidate() {
+        let mut e = est(&[0]);
+        assert_eq!(e.observe(set(&[0, 1]), false, SimTime::from_micros(0)), None);
+        assert_eq!(
+            e.observe(set(&[0, 1, 2]), true, SimTime::from_micros(5_000)),
+            Some(set(&[0, 1, 2]))
+        );
+        assert_eq!(e.diverged_since(), Some(SimTime::ZERO), "detect starts at the first evidence");
+        // The debounced candidate is gone: seeing it again starts afresh.
+        assert_eq!(e.observe(set(&[0, 1]), false, SimTime::from_micros(20_000)), None);
+        assert_eq!(e.observe(set(&[0, 1]), false, SimTime::from_micros(39_000)), None);
+        assert_eq!(
+            e.observe(set(&[0, 1]), false, SimTime::from_micros(40_000)),
+            Some(set(&[0, 1]))
         );
     }
 }

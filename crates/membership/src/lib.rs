@@ -14,8 +14,9 @@
 //! * [`FailureDetector`] — heartbeat-based, unreliable by design (it may
 //!   falsely suspect slow processes; view synchrony's job is to make that
 //!   harmless, turning suspicions into view changes);
-//! * [`MembershipEstimator`] — debounces failure-detector output into
-//!   *view-change triggers* with a proposed membership;
+//! * [`MembershipEstimator`] — turns failure-detector output into
+//!   *view-change triggers* with a proposed membership: at once when the
+//!   trusted set is complete, debounced otherwise;
 //! * [`AgreementMachine`] — coordinator-based view agreement carrying opaque
 //!   per-member flush payloads, the hook through which `vs-gcs` implements
 //!   the view-synchrony flush (Property 2.1) and `vs-evs` transports subview
